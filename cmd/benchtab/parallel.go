@@ -21,14 +21,13 @@ type parallelHomRow struct {
 }
 
 // parallelHomRecord captures the parallel-search story on a cyclic,
-// GAC-resistant workload: the legacy map-based search, the compact core
-// single-threaded, and the compact core fanned out across workers. The
-// random component of the workload is generated from Seed, so reruns
-// with the same seed measure the same search tree.
+// GAC-resistant workload: the compact core single-threaded and fanned
+// out across workers. The random component of the workload is
+// generated from Seed, so reruns with the same seed measure the same
+// search tree.
 type parallelHomRecord struct {
 	Workload string           `json:"workload"`
 	Seed     int64            `json:"seed"`
-	LegacyMS float64          `json:"legacy_ms"`
 	Rows     []parallelHomRow `json:"rows"`
 }
 
@@ -56,19 +55,17 @@ func timeSearches(ctx context.Context, ws []struct{ from, to instance.Pointed })
 }
 
 // parallelHomTable measures the compact parallel splitter against its
-// own single-worker run and the legacy oracle. Dispatch is forced to
-// backtrack so the join-tree path cannot absorb the acyclic parts, and
-// no cache is attached, so every run performs the full search.
+// own single-worker run. Dispatch is forced to backtrack so the
+// join-tree path cannot absorb the acyclic parts, and no cache is
+// attached, so every run performs the full search.
 func parallelHomTable(seed int64) {
 	fmt.Println("Parallel hom search (compact core prefix splitter)")
 	ws := parallelWorkload(seed)
 	base := hom.WithDispatchMode(context.Background(), hom.DispatchBacktrack)
 
-	legacy := timeSearches(hom.WithSearchImpl(base, hom.SearchLegacy), ws)
 	rec := parallelHomRecord{
 		Workload: "parity cycle n=7 + seeded random cyclic pair, forced backtrack",
 		Seed:     seed,
-		LegacyMS: float64(legacy) / float64(time.Millisecond),
 	}
 
 	var oneWorker time.Duration
@@ -83,7 +80,7 @@ func parallelHomTable(seed int64) {
 		}
 		rec.Rows = append(rec.Rows, r)
 		row(fmt.Sprintf("parallel/workers=%d", workers), "split search scales with cores",
-			fmt.Sprintf("%.2fms (%.2fx vs 1 worker, legacy %.2fms)", r.MS, r.Speedup, rec.LegacyMS))
+			fmt.Sprintf("%.2fms (%.2fx vs 1 worker)", r.MS, r.Speedup))
 	}
 	report.ParallelHom = rec
 	fmt.Println()

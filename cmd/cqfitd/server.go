@@ -251,15 +251,16 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// Streams outlive any fixed bound: clear the connection write
 	// deadline a previous one-shot response on this keep-alive
 	// connection may have left behind (writeJSON sets an absolute one).
-	http.NewResponseController(w).SetWriteDeadline(time.Time{})
+	// The controller reaches the connection's writer through wrappers
+	// such as the access log's statusRecorder (via Unwrap), which a
+	// w.(http.Flusher) assertion would not.
+	rc := http.NewResponseController(w)
+	rc.SetWriteDeadline(time.Time{})
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
 	// Commit the status and flush before the first answer: a slow
 	// enumeration must look like an admitted stream, not a hung request.
 	w.WriteHeader(http.StatusOK)
-	if flusher != nil {
-		flusher.Flush()
-	}
+	rc.Flush()
 	enc := json.NewEncoder(w)
 	frames := 0
 	for a := range st.Answers() {
@@ -267,9 +268,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 			cancel() // client gone; detaching cancels the search
 			break
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		rc.Flush()
 		frames++
 	}
 	res := st.Wait()
@@ -289,9 +288,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if res.Trace != nil {
 		enc.Encode(streamTraceFrame{Trace: res.Trace})
 	}
-	if flusher != nil {
-		flusher.Flush()
-	}
+	rc.Flush()
 }
 
 type batchRequest struct {

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -319,10 +320,11 @@ func TestStreamAdmissionControl(t *testing.T) {
 // receiving a parseable first frame while the search is still running
 // proves each frame is flushed as it is produced, and closing the
 // response mid-stream must cancel the underlying solver promptly
-// (ActiveSolvers probe).
+// (ActiveSolvers probe). The server is mounted behind accessLog, as
+// cqfitd serves it, so the flush must pass through its statusRecorder.
 func TestStreamFlushesBeforeCompletion(t *testing.T) {
 	eng := engine.New(engine.Options{})
-	ts := httptest.NewServer(newServer(eng))
+	ts := httptest.NewServer(accessLog(slog.New(slog.NewTextHandler(io.Discard, nil)), newServer(eng)))
 	t.Cleanup(func() {
 		ts.Close()
 		eng.Close()

@@ -1,9 +1,7 @@
 // Package compact is the interned, cache-friendly representation of a
 // homomorphism search and the bitset backtracking engine that runs on
-// it. It exists because every feature above it — memoization, spill,
-// streaming, join-tree dispatch — ultimately bottoms out in the hom
-// backtracking loop, and the legacy loop's map-of-slices domains clone
-// poorly and hash constantly.
+// it: every search the join-tree evaluator does not serve, and the
+// arc-consistency test of Proposition 4.7, run here.
 //
 // Per search, source variables and target values are interned to dense
 // uint32 ids, target facts are stored per relation as CSR-style
@@ -11,15 +9,15 @@
 // row index), and candidate domains are []uint64 bitsets with
 // popcount-driven MRV ordering. Propagation (generalized arc
 // consistency) and the backtracking search mutate one shared domain
-// array and unwind through a word-level trail instead of cloning
-// per node, so a search node costs a few saved words, not a map copy.
+// array and unwind through a word-level trail instead of cloning it
+// per node, so a search node costs a few saved words.
 //
 // The search checks its context at every node (solve.Check), so
-// deadlines and cancellation unwind exactly like the legacy path, and
-// search-progress counters (obs.CtrHomNodes etc.) are attributed to
-// the same recorder. Scratch state is reusable across searches via an
-// Arena (see arena.go), and a single giant check can be split across
-// cores by the parallel driver (see parallel.go).
+// deadlines and cancellation unwind it promptly, and search-progress
+// counters (obs.CtrHomNodes etc.) go to the job's recorder. Scratch
+// state is reusable across searches via an Arena (see arena.go), and a
+// single giant check can be split across cores by the parallel driver
+// (see parallel.go).
 package compact
 
 import (
@@ -612,6 +610,15 @@ func (r *Rep) FindAll(ctx context.Context, workers int, yield func([]uint32) boo
 		return
 	}
 	s.enum(0, yield)
+}
+
+// ArcConsistent enforces generalized arc consistency on the seeded
+// domains and reports whether every domain stays non-empty: the
+// propagation Find and FindAll run before their first branch.
+func (r *Rep) ArcConsistent(ctx context.Context) bool {
+	s := r.newSearcher(ctx, r.init, nil)
+	defer s.release()
+	return s.propagate()
 }
 
 // NumVars returns the number of interned source variables.

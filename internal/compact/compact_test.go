@@ -159,7 +159,7 @@ func TestFindAllEarlyStop(t *testing.T) {
 }
 
 // TestCancellation checks a canceled context unwinds both drivers as a
-// solve sentinel, exactly like the legacy search.
+// solve sentinel.
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

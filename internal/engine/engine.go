@@ -94,10 +94,6 @@ type Options struct {
 	// multiplying with Workers (parallelism across jobs), so hosts
 	// running many concurrent jobs may want 1 here.
 	SearchWorkers int
-	// ForceLegacySearch routes backtracking searches through the
-	// original map-based solver instead of the compact bitset core.
-	// Kept for conformance cross-checks and benchmark baselines.
-	ForceLegacySearch bool
 }
 
 // Engine is a concurrent fitting-job scheduler. Create with New, release
@@ -687,8 +683,7 @@ func withEngineCaches(ctx context.Context, m *Memo) context.Context {
 // job's context: the memo (when enabled), the hypergraph decomposition
 // cache, the dispatch-path counters, and the compact-search arena and
 // worker budget. ForceBacktrack pins the hom dispatch mode so the
-// join-tree fast path never engages; ForceLegacySearch pins the
-// map-based backtracking oracle.
+// join-tree fast path never engages.
 func (e *Engine) solverContext(ctx context.Context) context.Context {
 	if e.memo != nil {
 		ctx = withEngineCaches(ctx, e.memo)
@@ -699,11 +694,7 @@ func (e *Engine) solverContext(ctx context.Context) context.Context {
 		ctx = hom.WithDispatchMode(ctx, hom.DispatchBacktrack)
 	}
 	ctx = compact.WithArena(ctx, e.arena)
-	ctx = hom.WithSearchWorkers(ctx, e.opts.SearchWorkers)
-	if e.opts.ForceLegacySearch {
-		ctx = hom.WithSearchImpl(ctx, hom.SearchLegacy)
-	}
-	return ctx
+	return hom.WithSearchWorkers(ctx, e.opts.SearchWorkers)
 }
 
 // closeErr maps a context failure observed during Close to ErrClosed

@@ -28,19 +28,22 @@ var ErrUnsupported = errors.New("fitting: input outside the implemented exact fr
 // equality-type refinement lives in Appendix A, which is not part of the
 // provided text).
 func VerifyWeaklyMostGeneral(q *cq.CQ, e Examples) (bool, error) {
-	return verifyWeaklyMostGeneral(context.Background(), q, e)
+	return VerifyWeaklyMostGeneralCtx(context.Background(), q, e)
 }
 
 // VerifyWeaklyMostGeneralCtx is VerifyWeaklyMostGeneral under a solver
 // context.
 func VerifyWeaklyMostGeneralCtx(ctx context.Context, q *cq.CQ, e Examples) (bool, error) {
-	return verifyWeaklyMostGeneral(ctx, q, e)
-}
-
-func verifyWeaklyMostGeneral(ctx context.Context, q *cq.CQ, e Examples) (bool, error) {
 	if !VerifyCtx(ctx, q, e) {
 		return false, nil
 	}
+	return verifyWeaklyMostGeneral(ctx, q, e)
+}
+
+// verifyWeaklyMostGeneral is the Prop 3.11 test for a q its caller has
+// already shown to fit E: the core of q is c-acyclic and every member
+// of its frontier maps into a negative example.
+func verifyWeaklyMostGeneral(ctx context.Context, q *cq.CQ, e Examples) (bool, error) {
 	core := hom.CoreCtx(ctx, q.Example())
 	if !instance.CAcyclic(core) {
 		// No frontier exists (Thm 2.12), so by Prop 3.11 q cannot be

@@ -15,9 +15,9 @@ import (
 // SearchOpts bounds the candidate space of the synthesis searches. The
 // paper's automata-based decision procedure for weakly most-general
 // existence (Theorem 3.13) is replaced by bounded enumeration with the
-// exact verifier as a filter (see DESIGN.md, substitution 2): answers of
-// the form "found" are exact; "not found" is definitive only within the
-// bounds.
+// exact verifier as a filter (see README, "Substitutions for the
+// paper's automata", item 2): answers of the form "found" are exact;
+// "not found" is definitive only within the bounds.
 type SearchOpts struct {
 	MaxAtoms int
 	MaxVars  int

@@ -2,117 +2,134 @@ package hom
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"testing"
 
 	"extremalcq/internal/genex"
 	"extremalcq/internal/instance"
-	"extremalcq/internal/obs"
 )
 
-// compactLegacyAgree cross-checks the compact and legacy backtracking
-// cores on one (from, to) pair: same exists verdict, valid witnesses
-// from both, identical enumerated answer sets, and the parallel
-// compact driver agreeing with the single-worker one. Dispatch is
-// forced to backtrack so the join-tree fast path cannot mask either
-// core.
-func compactLegacyAgree(t *testing.T, from, to instance.Pointed) {
-	t.Helper()
-	base := WithDispatchMode(context.Background(), DispatchBacktrack)
-	compactCtx := WithSearchImpl(base, SearchCompact)
-	legacyCtx := WithSearchImpl(base, SearchLegacy)
-	parallelCtx := WithSearchWorkers(compactCtx, 4)
-
-	hC, okC := FindCtx(compactCtx, from, to)
-	hL, okL := FindCtx(legacyCtx, from, to)
-	hP, okP := FindCtx(parallelCtx, from, to)
-	if okC != okL || okP != okL {
-		t.Fatalf("exists disagreement: compact=%v legacy=%v parallel=%v", okC, okL, okP)
+// naiveFindAll is the reference enumerator the compact core is checked
+// against. It binds adom(from) in sorted order, trying every target
+// value for each, and rejects a partial assignment as soon as a fact
+// whose values are all bound is missing from the target. It shares no
+// propagation or variable-ordering logic with the solver, so it is
+// independent of it, and exponential: keep its inputs small.
+func naiveFindAll(from, to instance.Pointed, yield func(Assignment) bool) {
+	if !from.I.Schema().Equal(to.I.Schema()) || from.Arity() != to.Arity() {
+		return
 	}
-	if okL {
-		checkWitness(t, from, to, hC)
-		checkWitness(t, from, to, hL)
-		checkWitness(t, from, to, hP)
-	}
-
-	setL := findAllSet(legacyCtx, from, to)
-	setC := findAllSet(compactCtx, from, to)
-	setP := findAllSet(parallelCtx, from, to)
-	if len(setC) != len(setL) || len(setP) != len(setL) {
-		t.Fatalf("answer-set sizes differ: compact=%d legacy=%d parallel=%d", len(setC), len(setL), len(setP))
-	}
-	for k := range setL {
-		if !setC[k] {
-			t.Fatalf("compact path missed answer %s", k)
+	forced := make(Assignment)
+	for i, v := range from.Tuple {
+		if prev, ok := forced[v]; ok && prev != to.Tuple[i] {
+			return
 		}
-		if !setP[k] {
-			t.Fatalf("parallel compact path missed answer %s", k)
+		forced[v] = to.Tuple[i]
+	}
+	vars, targets := from.I.Dom(), to.I.Dom()
+	// due[i] lists the facts whose last value in binding order is vars[i]
+	// (schemas have no nullary relations, so every fact has one).
+	pos := make(map[instance.Value]int, len(vars))
+	for i, v := range vars {
+		pos[v] = i
+	}
+	due := make([][]instance.Fact, len(vars))
+	for _, f := range from.I.Facts() {
+		last := 0
+		for _, v := range f.Args {
+			last = max(last, pos[v])
+		}
+		due[last] = append(due[last], f)
+	}
+	a := maps.Clone(forced)
+	var bind func(i int) bool
+	bind = func(i int) bool {
+		if i == len(vars) {
+			return yield(maps.Clone(a))
+		}
+		cands := targets
+		if b, ok := forced[vars[i]]; ok {
+			cands = []instance.Value{b}
+		}
+		for _, w := range cands {
+			a[vars[i]] = w
+			holds := true
+			for _, f := range due[i] {
+				if !to.I.Has(f.Map(a)) {
+					holds = false
+					break
+				}
+			}
+			if holds && !bind(i+1) {
+				return false
+			}
+		}
+		return true
+	}
+	bind(0)
+}
+
+// compactNaiveAgree cross-checks the compact core, at 1 and at 4
+// workers, against naiveFindAll on one (from, to) pair: same exists
+// verdict, valid witnesses, and identical enumerated answer sets.
+// Dispatch is forced to backtrack so the join-tree fast path cannot
+// mask the core.
+func compactNaiveAgree(t *testing.T, from, to instance.Pointed) {
+	t.Helper()
+	want := make(map[string]bool)
+	naiveFindAll(from, to, func(a Assignment) bool {
+		want[canonAssignment(a)] = true
+		return true
+	})
+	base := WithDispatchMode(context.Background(), DispatchBacktrack)
+	for _, workers := range []int{1, 4} {
+		ctx := WithSearchWorkers(base, workers)
+		h, ok := FindCtx(ctx, from, to)
+		if ok != (len(want) > 0) {
+			t.Fatalf("workers=%d: exists=%v, naive enumerator found %d homomorphisms", workers, ok, len(want))
+		}
+		if ok {
+			checkWitness(t, from, to, h)
+		}
+		got := findAllSet(ctx, from, to)
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: answer-set sizes differ: compact=%d naive=%d", workers, len(got), len(want))
+		}
+		for k := range want {
+			if !got[k] {
+				t.Fatalf("workers=%d: compact core missed answer %s", workers, k)
+			}
 		}
 	}
 }
 
-// TestCompactLegacyAgree is the conformance differential for the
+// TestCompactNaiveAgree is the conformance differential for the
 // compact core: randomized instances plus the structured families
-// where the representations are stressed hardest (parity gadgets that
+// where the representation is stressed hardest (parity gadgets that
 // defeat GAC, cycles into cycles, cliques). Run under -race in CI so
 // the parallel driver's sharing is exercised, not just its answers.
-func TestCompactLegacyAgree(t *testing.T) {
+func TestCompactNaiveAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	sch := genex.SchemaR()
 	for i := 0; i < 80; i++ {
 		from := genex.RandomPointed(rng, sch, 4, 2+rng.Intn(5), rng.Intn(2))
 		to := genex.RandomPointed(rng, sch, 3, 2+rng.Intn(7), from.Arity())
-		compactLegacyAgree(t, from, to)
+		compactNaiveAgree(t, from, to)
 	}
 
 	parity := genex.ParityTarget()
 	for n := 1; n <= 5; n++ {
-		compactLegacyAgree(t, genex.ParityChain(n), parity)
+		compactNaiveAgree(t, genex.ParityChain(n), parity)
 	}
 	for n := 3; n <= 6; n++ {
-		compactLegacyAgree(t, genex.ParityCycle(n), parity)
+		compactNaiveAgree(t, genex.ParityCycle(n), parity)
 	}
 	for _, n := range []int{3, 4, 6, 12} {
 		for _, m := range []int{2, 3, 4} {
-			compactLegacyAgree(t, genex.DirectedCycle(n), genex.DirectedCycle(m))
+			compactNaiveAgree(t, genex.DirectedCycle(n), genex.DirectedCycle(m))
 		}
 	}
-	compactLegacyAgree(t, genex.Clique(3), genex.Clique(4))
-	compactLegacyAgree(t, genex.Clique(3), genex.Clique(2))
-}
-
-// TestLegacyBacktrackAllocs pins the restore-on-unwind fix in the
-// legacy search: backtracking must no longer clone the whole domain
-// map per node, so the per-node allocation count on a GAC-resistant
-// unsatisfiable search stays small and flat. Before the fix every node
-// copied the full map at every candidate (hundreds of allocations per
-// node on this family).
-func TestLegacyBacktrackAllocs(t *testing.T) {
-	from, to := genex.ParityCycle(6), genex.ParityTarget()
-
-	// Count search nodes once so the bound is per node, not per search.
-	rec := obs.NewRecorder()
-	ctx := WithSearchImpl(WithDispatchMode(obs.WithRecorder(context.Background(), rec), DispatchBacktrack), SearchLegacy)
-	if _, ok := FindCtx(ctx, from, to); ok {
-		t.Fatal("setup: ParityCycle(6) -> ParityTarget must be unsatisfiable")
-	}
-	nodes := rec.Count(obs.CtrHomNodes)
-	if nodes == 0 {
-		t.Fatal("setup: search expanded no nodes")
-	}
-
-	quiet := WithSearchImpl(WithDispatchMode(context.Background(), DispatchBacktrack), SearchLegacy)
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, ok := FindCtx(quiet, from, to); ok {
-			t.Fatal("ParityCycle(6) -> ParityTarget must stay unsatisfiable")
-		}
-	})
-	perNode := allocs / float64(nodes)
-	// The trail-based search allocates a candidate singleton and a few
-	// narrowed slices per node; 16 is generous headroom, while the old
-	// per-node map clones sat two orders of magnitude above it.
-	if perNode > 16 {
-		t.Fatalf("legacy search allocates %.1f objects/node over %d nodes (%.0f total), want <= 16",
-			perNode, nodes, allocs)
-	}
+	compactNaiveAgree(t, genex.Clique(3), genex.Clique(4))
+	compactNaiveAgree(t, genex.Clique(3), genex.Clique(2))
 }

@@ -7,40 +7,10 @@ import (
 	"extremalcq/internal/compact"
 )
 
-// This file routes backtracking searches to the compact solver core
-// (internal/compact): interned uint32 domains, CSR adjacency, bitset
-// candidate sets and an optional parallel prefix splitter. The
-// map-based path in hom.go remains as the reference oracle, selectable
-// per context with WithSearchImpl(ctx, SearchLegacy) — conformance
-// tests run every instance through both and compare.
-
-// SearchImpl selects which backtracking core serves memo-missed,
-// cyclic (non-join-tree) searches.
-type SearchImpl int
-
-const (
-	// SearchCompact is the default: interned-domain bitset search.
-	SearchCompact SearchImpl = iota
-	// SearchLegacy forces the original map-based search, kept as the
-	// differential-testing oracle.
-	SearchLegacy
-)
-
-type searchImplKey struct{}
-
-// WithSearchImpl returns a context that pins the backtracking core for
-// every search under it. Without it, searches use SearchCompact.
-func WithSearchImpl(ctx context.Context, impl SearchImpl) context.Context {
-	return context.WithValue(ctx, searchImplKey{}, impl)
-}
-
-func searchImplFrom(ctx context.Context) SearchImpl {
-	if ctx == nil {
-		return SearchCompact
-	}
-	impl, _ := ctx.Value(searchImplKey{}).(SearchImpl)
-	return impl
-}
+// This file routes every search the join tree does not serve to the
+// compact solver core (internal/compact): interned uint32 domains, CSR
+// adjacency, bitset candidate sets and an optional parallel prefix
+// splitter.
 
 type searchWorkersKey struct{}
 

@@ -117,7 +117,7 @@ func (s *search) decompose() (*hypergraph.Hypergraph, *hypergraph.Forest, bool) 
 
 // solveJoinTree finds one homomorphism via the semi-join evaluator and
 // merges the fixed images of distinguished elements outside adom(from),
-// matching solve()'s result shape exactly.
+// matching solveCompact's result shape exactly.
 func (s *search) solveJoinTree(hg *hypergraph.Hypergraph, fo *hypergraph.Forest) (Assignment, bool) {
 	sp := s.rec.StartSpan(obs.PhaseSemijoin)
 	defer sp.End()
@@ -134,7 +134,8 @@ func (s *search) solveJoinTree(hg *hypergraph.Hypergraph, fo *hypergraph.Forest)
 
 // enumerateJoinTree yields every homomorphism via the semi-join
 // evaluator, merging fixed images into each answer, matching
-// enumerate()'s yield contract (including early stop on yield=false).
+// enumerateCompact's yield contract (including early stop on
+// yield=false).
 func (s *search) enumerateJoinTree(hg *hypergraph.Hypergraph, fo *hypergraph.Forest, yield func(Assignment) bool) {
 	sp := s.rec.StartSpan(obs.PhaseSemijoin)
 	defer sp.End()

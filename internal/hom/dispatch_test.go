@@ -37,6 +37,16 @@ func findAllSet(ctx context.Context, from, to instance.Pointed) map[string]bool 
 	return out
 }
 
+// validHom checks that assignment a maps every fact of from into to.
+func validHom(from, to *instance.Instance, a Assignment) bool {
+	for _, f := range from.Facts() {
+		if !to.Has(f.Map(a)) {
+			return false
+		}
+	}
+	return true
+}
+
 // checkWitness verifies an assignment is a genuine homomorphism: every
 // fact is preserved and every distinguished element maps to its
 // counterpart.

@@ -9,11 +9,10 @@ package hom
 
 import (
 	"context"
-	"sort"
 
+	"extremalcq/internal/compact"
 	"extremalcq/internal/instance"
 	"extremalcq/internal/obs"
-	"extremalcq/internal/solve"
 )
 
 // Assignment maps source values to target values.
@@ -66,9 +65,6 @@ func findUncached(ctx context.Context, from, to instance.Pointed) (Assignment, b
 	if hg, forest, acyclic := s.probeJoinTree(); acyclic {
 		return s.solveJoinTree(hg, forest)
 	}
-	if searchImplFrom(ctx) == SearchLegacy {
-		return s.solve()
-	}
 	return s.solveCompact()
 }
 
@@ -94,10 +90,6 @@ func FindAllCtx(ctx context.Context, from, to instance.Pointed, yield func(Assig
 	}
 	if hg, forest, acyclic := s.probeJoinTree(); acyclic {
 		s.enumerateJoinTree(hg, forest, yield)
-		return
-	}
-	if searchImplFrom(ctx) == SearchLegacy {
-		s.enumerate(yield)
 		return
 	}
 	s.enumerateCompact(yield)
@@ -154,310 +146,50 @@ func ExistsToAllCtx(ctx context.Context, from instance.Pointed, ts []instance.Po
 	return true
 }
 
-// ---------------------------------------------------------------------
-// search state
-// ---------------------------------------------------------------------
-
+// search is one validated homomorphism problem: the inputs plus the
+// required images of the distinguished elements, split by whether they
+// occur in adom(from) (pinned, seeding the solver's domains) or not
+// (fixed, merged into every answer).
 type search struct {
 	ctx      context.Context
 	rec      *obs.Recorder // job trace recorder (nil when untraced)
 	from, to instance.Pointed
-	vars     []instance.Value                    // adom(from), sorted
-	domains  map[instance.Value][]instance.Value // candidate targets
-	pinned   Assignment                          // distinguished elements inside adom(from)
-	fixed    Assignment                          // distinguished elements outside adom(from)
-	facts    []instance.Fact                     // from's facts, computed once per search
-	// trail is the restore-on-unwind log of domain narrowings: every
-	// map entry replaced by propagate/backtrack is recorded here, and
-	// unwinding a search node restores exactly the entries it touched.
-	// This replaces the per-node whole-map clones that made deep legacy
-	// searches allocate O(vars × domain) per node (and OOM when used as
-	// the differential oracle against the compact engine).
-	trail []domTrail
+	pinned   Assignment // distinguished elements inside adom(from)
+	fixed    Assignment // distinguished elements outside adom(from)
 }
 
-// domTrail is one saved domain binding. Domain slices are never
-// mutated in place — propagate and backtrack only ever replace them —
-// so restoring the old slice header is a full undo.
-type domTrail struct {
-	v   instance.Value
-	old []instance.Value
-}
-
-// mark returns the current trail position for a later undo.
-func (s *search) mark() int { return len(s.trail) }
-
-// setDomain replaces v's candidate slice, logging the old one.
-func (s *search) setDomain(v instance.Value, ws []instance.Value) {
-	s.trail = append(s.trail, domTrail{v: v, old: s.domains[v]})
-	s.domains[v] = ws
-}
-
-// undo restores every domain binding replaced since mark.
-func (s *search) undo(m int) {
-	for i := len(s.trail) - 1; i >= m; i-- {
-		e := s.trail[i]
-		s.domains[e.v] = e.old
-	}
-	s.trail = s.trail[:m]
-}
-
-// newSearch validates schemas/arities/equality types and seeds domains
-// with the distinguished tuple. ok=false means no homomorphism can exist.
+// newSearch checks that schemas and arities match, that the
+// distinguished tuple is consistent (h is a function, so repeated
+// source values need equal targets), and that every pinned image lies
+// in adom(to). ok=false means no homomorphism can exist.
 func newSearch(ctx context.Context, from, to instance.Pointed) (*search, bool) {
 	if !from.I.Schema().Equal(to.I.Schema()) || from.Arity() != to.Arity() {
 		return nil, false
 	}
 	s := &search{
-		ctx:     ctx,
-		rec:     obs.FromContext(ctx),
-		from:    from,
-		to:      to,
-		domains: make(map[instance.Value][]instance.Value),
-		pinned:  make(Assignment),
-		fixed:   make(Assignment),
+		ctx:    ctx,
+		rec:    obs.FromContext(ctx),
+		from:   from,
+		to:     to,
+		pinned: make(Assignment),
+		fixed:  make(Assignment),
 	}
-	// Required images of distinguished elements; h is a function, so
-	// repeated source values must have equal targets.
-	need := make(Assignment)
 	for i, a := range from.Tuple {
 		b := to.Tuple[i]
-		if prev, ok := need[a]; ok && prev != b {
+		m := s.pinned
+		if !from.I.InDom(a) {
+			m = s.fixed
+		} else if !to.I.InDom(b) {
+			// A distinguished element occurring in a fact must map to a
+			// target value that also occurs in a fact.
 			return nil, false
 		}
-		need[a] = b
-	}
-	toDom := to.I.Dom()
-	for _, v := range from.I.Dom() {
-		if b, ok := need[v]; ok {
-			// Distinguished element occurring in a fact must map to a
-			// target value that also occurs in a fact.
-			if !to.I.InDom(b) {
-				return nil, false
-			}
-			s.domains[v] = []instance.Value{b}
-			s.pinned[v] = b
-			continue
+		if prev, ok := m[a]; ok && prev != b {
+			return nil, false
 		}
-		s.domains[v] = append([]instance.Value(nil), toDom...)
+		m[a] = b
 	}
-	for a, b := range need {
-		if !from.I.InDom(a) {
-			s.fixed[a] = b
-		}
-	}
-	s.vars = from.I.Dom()
-	s.facts = from.I.Facts()
 	return s, true
-}
-
-func (s *search) solve() (Assignment, bool) {
-	if !s.propagate() {
-		return nil, false
-	}
-	res := s.backtrack()
-	if res == nil {
-		return nil, false
-	}
-	for a, b := range s.fixed {
-		res[a] = b
-	}
-	return res, true
-}
-
-// backtrack runs GAC-based search and returns a full assignment or nil.
-// Every node checks the solver context, so a deadline stops the search
-// within one propagation round. Narrowings are undone through the trail
-// on unwind instead of cloning the domain map per node.
-func (s *search) backtrack() Assignment {
-	solve.Check(s.ctx)
-	s.rec.Add(obs.CtrHomNodes, 1)
-	v, ok := pickVar(s.vars, s.domains)
-	if !ok {
-		// All singleton: extract and verify.
-		a := make(Assignment, len(s.domains))
-		for _, u := range s.vars {
-			a[u] = s.domains[u][0]
-		}
-		if validHom(s.from.I, s.to.I, a) {
-			return a
-		}
-		s.rec.Add(obs.CtrHomBacktracks, 1)
-		return nil
-	}
-	// The range expression captures v's current slice once; setDomain
-	// only ever replaces map entries, so the captured slice stays valid
-	// while the map entry is narrowed and restored underneath it.
-	for _, w := range s.domains[v] {
-		m := s.mark()
-		s.setDomain(v, []instance.Value{w})
-		if s.propagate() {
-			if res := s.backtrack(); res != nil {
-				return res
-			}
-		}
-		s.undo(m)
-	}
-	// Every candidate for v failed: this subtree is a dead end.
-	s.rec.Add(obs.CtrHomBacktracks, 1)
-	return nil
-}
-
-// enumerate yields every homomorphism.
-func (s *search) enumerate(yield func(Assignment) bool) {
-	if !s.propagate() {
-		return
-	}
-	s.enumRec(yield)
-}
-
-// enumRec returns false if enumeration should stop.
-func (s *search) enumRec(yield func(Assignment) bool) bool {
-	solve.Check(s.ctx)
-	s.rec.Add(obs.CtrHomNodes, 1)
-	v, ok := pickVar(s.vars, s.domains)
-	if !ok {
-		a := make(Assignment, len(s.domains))
-		for _, u := range s.vars {
-			a[u] = s.domains[u][0]
-		}
-		if !validHom(s.from.I, s.to.I, a) {
-			return true
-		}
-		for k, b := range s.fixed {
-			a[k] = b
-		}
-		return yield(a)
-	}
-	for _, w := range s.domains[v] {
-		m := s.mark()
-		s.setDomain(v, []instance.Value{w})
-		more := true
-		if s.propagate() {
-			more = s.enumRec(yield)
-		}
-		s.undo(m)
-		if !more {
-			return false
-		}
-	}
-	return true
-}
-
-// pickVar selects the unassigned variable with the smallest domain > 1.
-func pickVar(vars []instance.Value, dom map[instance.Value][]instance.Value) (instance.Value, bool) {
-	var best instance.Value
-	bestLen := -1
-	for _, v := range vars {
-		if n := len(dom[v]); n > 1 && (bestLen == -1 || n < bestLen) {
-			best, bestLen = v, n
-		}
-	}
-	return best, bestLen != -1
-}
-
-// validHom checks that assignment a maps every fact of from into to.
-func validHom(from, to *instance.Instance, a Assignment) bool {
-	for _, f := range from.Facts() {
-		if !to.Has(f.Map(map[instance.Value]instance.Value(a))) {
-			return false
-		}
-	}
-	return true
-}
-
-// propagate enforces generalized arc consistency fact-by-fact until a
-// fixpoint, narrowing s.domains in place (each narrowing is logged on
-// the trail, so the caller's undo restores it). Returns false if some
-// domain became empty. The fixpoint loop checks the solver context so
-// large instances cannot delay cancellation by a whole propagation
-// pass.
-func (s *search) propagate() bool {
-	to := s.to.I
-	changed := true
-	for changed {
-		solve.Check(s.ctx)
-		changed = false
-		for _, f := range s.facts {
-			for i, v := range f.Args {
-				cur := s.domains[v]
-				// Find the first unsupported candidate before building a
-				// narrowed slice, so the (common) no-change case allocates
-				// nothing.
-				drop := -1
-				for x, w := range cur {
-					if !supported(to, f, i, w, s.domains) {
-						drop = x
-						break
-					}
-				}
-				if drop == -1 {
-					continue
-				}
-				kept := make([]instance.Value, 0, len(cur)-1)
-				kept = append(kept, cur[:drop]...)
-				for _, w := range cur[drop+1:] {
-					if supported(to, f, i, w, s.domains) {
-						kept = append(kept, w)
-					}
-				}
-				s.rec.Add(obs.CtrHomPrunings, int64(len(cur)-len(kept)))
-				if len(kept) == 0 {
-					return false
-				}
-				s.setDomain(v, kept)
-				changed = true
-			}
-		}
-	}
-	return true
-}
-
-// supported reports whether there is a fact g = R(w̄) in 'to' with
-// g.Args[i] == w, g.Args[j] in dom(f.Args[j]) for all j, and repeated
-// source variables receiving equal target values.
-func supported(to *instance.Instance, f instance.Fact, i int, w instance.Value, dom map[instance.Value][]instance.Value) bool {
-	for _, g := range to.FactsWith(f.Rel, i, w) {
-		if factSupports(f, g, dom) {
-			return true
-		}
-	}
-	return false
-}
-
-func factSupports(f, g instance.Fact, dom map[instance.Value][]instance.Value) bool {
-	for j, v := range f.Args {
-		tw := g.Args[j]
-		// Repeated-variable consistency within the fact: a later
-		// occurrence must match the image at the first occurrence.
-		// Facts are short, so the linear scan beats a per-call map.
-		repeated := false
-		for k := 0; k < j; k++ {
-			if f.Args[k] == v {
-				if g.Args[k] != tw {
-					return false
-				}
-				repeated = true
-				break
-			}
-		}
-		if repeated {
-			continue
-		}
-		if !contains(dom[v], tw) {
-			return false
-		}
-	}
-	return true
-}
-
-func contains(ws []instance.Value, w instance.Value) bool {
-	for _, x := range ws {
-		if x == w {
-			return true
-		}
-	}
-	return false
 }
 
 // ArcConsistent runs the arc-consistency procedure from 'from' to 'to'
@@ -468,15 +200,10 @@ func contains(ws []instance.Value, w instance.Value) bool {
 // consistency from e' to e succeeds iff every c-acyclic t with t → e'
 // satisfies t → e.
 func ArcConsistent(from, to instance.Pointed) bool {
-	s, ok := newSearch(context.Background(), from, to)
+	ctx := context.Background()
+	s, ok := newSearch(ctx, from, to)
 	if !ok {
 		return false
 	}
-	return s.propagate()
-}
-
-// SortValues sorts a value slice in place and returns it (test helper).
-func SortValues(vs []instance.Value) []instance.Value {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
+	return compact.Build(ctx, from.I, to.I, s.pinned).ArcConsistent(ctx)
 }

@@ -77,6 +77,16 @@ func TestEqualityTypes(t *testing.T) {
 	if Exists(from, to2) {
 		t.Error("repeated source tuple cannot split across x,y")
 	}
+	// Nor across x,y when one of the images carries a loop, whether the
+	// repeated value occurs in a fact or not.
+	to3 := pointed(t, binR, "R(x,y). R(y,y) @ x, y")
+	if Exists(from, to3) {
+		t.Error("repeated source tuple cannot split across x,y even where y has a loop")
+	}
+	iso := instance.NewPointed(instance.MustFromFacts(binR, instance.NewFact("R", "c", "d")), "z", "z")
+	if Exists(iso, to3) {
+		t.Error("repeated isolated tuple value cannot split across x,y")
+	}
 }
 
 func TestIsolatedDistinguishedElement(t *testing.T) {
@@ -251,6 +261,35 @@ func TestArcConsistentSemantic(t *testing.T) {
 	}
 	if !ArcConsistent(c3, c2) {
 		t.Error("AC(C3 -> C2) should succeed (trees below C3 are below C2)")
+	}
+}
+
+// TestArcConsistentExactOnCAcyclic checks the exactness ArcConsistent
+// documents: on c-acyclic sources arc consistency decides homomorphism
+// existence. Pairs are random over {R/2, P/1, T/3}, pointed arities
+// 0-2; sources that are not c-acyclic are skipped.
+func TestArcConsistentExactOnCAcyclic(t *testing.T) {
+	sch := schema.MustNew(
+		schema.Relation{Name: "R", Arity: 2},
+		schema.Relation{Name: "P", Arity: 1},
+		schema.Relation{Name: "T", Arity: 3},
+	)
+	rng := rand.New(rand.NewSource(16))
+	checked := 0
+	for i := 0; i < 10000; i++ {
+		k := rng.Intn(3)
+		from := genex.RandomPointed(rng, sch, 2+rng.Intn(4), 1+rng.Intn(6), k)
+		to := genex.RandomPointed(rng, sch, 2+rng.Intn(3), 1+rng.Intn(9), k)
+		if !instance.CAcyclic(from) {
+			continue
+		}
+		checked++
+		if ac, ex := ArcConsistent(from, to), Exists(from, to); ac != ex {
+			t.Fatalf("c-acyclic %v -> %v: ArcConsistent=%v, Exists=%v", from, to, ac, ex)
+		}
+	}
+	if checked < 2000 {
+		t.Fatalf("generator drew only %d c-acyclic sources", checked)
 	}
 }
 

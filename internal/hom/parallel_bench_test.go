@@ -13,21 +13,12 @@ import (
 // falls to the backtracking core), GAC-resistant (propagation alone
 // cannot refute it), and has no witness (so first-witness-wins luck
 // cannot flatter any configuration — every run explores the full
-// tree). legacy is the map-based oracle for reference. Speedup across
-// worker counts is bounded by the host's core count; CI records
-// whatever the machine gives.
+// tree). Speedup across worker counts is bounded by the host's core
+// count; CI records whatever the machine gives.
 func BenchmarkParallelHom(b *testing.B) {
 	from, to := genex.ParityCycle(17), genex.ParityTarget()
 	base := WithDispatchMode(context.Background(), DispatchBacktrack)
 
-	b.Run("legacy", func(b *testing.B) {
-		ctx := WithSearchImpl(base, SearchLegacy)
-		for i := 0; i < b.N; i++ {
-			if ExistsCtx(ctx, from, to) {
-				b.Fatal("parity cycle must be unsatisfiable")
-			}
-		}
-	})
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			ctx := WithSearchWorkers(base, workers)

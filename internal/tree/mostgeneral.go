@@ -102,7 +102,7 @@ func StrictGeneralization(q *cq.CQ, e Examples, maxDepth int) (*cq.CQ, bool, err
 // CQ within the given bounds, verifying candidates exactly. Found
 // answers are exact; "not found" is definitive only within the bounds
 // (the paper decides existence with TWAPA emptiness, Thm 5.24; see
-// DESIGN.md substitution 2).
+// README, "Substitutions for the paper's automata", item 2).
 func SearchWeaklyMostGeneral(e Examples, opts fitting.SearchOpts) (*cq.CQ, bool, error) {
 	return SearchWeaklyMostGeneralCtx(context.Background(), e, opts)
 }

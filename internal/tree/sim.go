@@ -8,8 +8,8 @@
 //
 // Where the paper uses two-way alternating tree automata, this package
 // uses the equivalent simulation fixpoints on the product of the
-// positive examples (Lemma 5.5 is the bridge); see DESIGN.md,
-// substitution 1.
+// positive examples (Lemma 5.5 is the bridge); see README,
+// "Substitutions for the paper's automata", item 1.
 package tree
 
 import (
