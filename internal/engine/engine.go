@@ -34,6 +34,7 @@ import (
 	"extremalcq/internal/instance"
 	"extremalcq/internal/obs"
 	"extremalcq/internal/store"
+	"extremalcq/internal/universe"
 )
 
 // ErrClosed is reported by jobs submitted to, or still queued in, a
@@ -114,6 +115,11 @@ type Engine struct {
 	// each probe selected. Both are engine-owned, like the memo.
 	decomp   *hypergraph.Cache
 	dispatch hom.DispatchStats
+
+	// universes caches the compiled candidate universes of the weakly
+	// most-general CQ search per (schema, arity, bounds); engine-owned
+	// like the memo.
+	universes *universe.Cache
 
 	// arena recycles compact-search scratch (domain bitsets, trails,
 	// candidate buffers) across this engine's memo-missed subproblems;
@@ -259,6 +265,7 @@ func New(opts Options) *Engine {
 		streams:    make(map[string]*streamFlight),
 		tasks:      make(map[string]*taskAgg),
 		decomp:     hypergraph.NewCache(0),
+		universes:  universe.NewCache(),
 		arena:      compact.NewArena(),
 		jobDur:     obs.NewHistogram(),
 		queueWait:  obs.NewHistogram(),
@@ -681,14 +688,15 @@ func withEngineCaches(ctx context.Context, m *Memo) context.Context {
 
 // solverContext attaches every piece of engine-owned solver state to a
 // job's context: the memo (when enabled), the hypergraph decomposition
-// cache, the dispatch-path counters, and the compact-search arena and
-// worker budget. ForceBacktrack pins the hom dispatch mode so the
-// join-tree fast path never engages.
+// cache, the compiled candidate universes, the dispatch-path counters,
+// and the compact-search arena and worker budget. ForceBacktrack pins
+// the hom dispatch mode so the join-tree fast path never engages.
 func (e *Engine) solverContext(ctx context.Context) context.Context {
 	if e.memo != nil {
 		ctx = withEngineCaches(ctx, e.memo)
 	}
 	ctx = hypergraph.WithCache(ctx, e.decomp)
+	ctx = universe.WithCache(ctx, e.universes)
 	ctx = hom.WithDispatchStats(ctx, &e.dispatch)
 	if e.opts.ForceBacktrack {
 		ctx = hom.WithDispatchMode(ctx, hom.DispatchBacktrack)

@@ -519,3 +519,57 @@ func TestDispatchStatsAndForceBacktrack(t *testing.T) {
 		t.Errorf("forced engine recorded no dispatch decisions: %+v", sf.Dispatch)
 	}
 }
+
+// TestNegativeMaxVarsIsAnEmptyCandidateSpace: a negative bound disables
+// candidate enumeration (Job.Opts), so every enumerating kind × task
+// must come back as an ordinary Result, one-shot and streamed, instead
+// of panicking the process from inside the enumerator.
+func TestNegativeMaxVarsIsAnEmptyCandidateSpace(t *testing.T) {
+	eng := New(Options{})
+	defer eng.Close()
+	for _, kind := range []string{"cq", "ucq", "tree"} {
+		for _, task := range []string{"weakly-most-general", "basis"} {
+			spec := JobSpec{
+				Schema: "R/2", Arity: 1, Kind: kind, Task: task,
+				Neg: []string{"R(a,b) @ a"}, MaxVars: -1,
+			}
+			j, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, res := range []Result{
+				eng.Do(context.Background(), j),
+				eng.DoStream(context.Background(), j, nil),
+			} {
+				if res.Err != nil || res.Kind != j.Kind || res.Task != j.Task {
+					t.Errorf("%s/%s with max_vars -1: %+v", kind, task, res)
+				}
+			}
+		}
+	}
+}
+
+// TestExistsUniqueCoresOnce: deciding a unique fitting cores the
+// positive product once. The Prop 3.11 test and its frontier reuse
+// that core, so a product that is not a core (Example 3.33: the loop
+// at b absorbs a) costs one core-memo miss, and rendering the answer's
+// core is a hit.
+func TestExistsUniqueCoresOnce(t *testing.T) {
+	eng := New(Options{})
+	defer eng.Close()
+	j, err := JobSpec{
+		Schema: "R/2", Arity: 1, Kind: "cq", Task: "unique",
+		Pos: []string{"R(a,b). R(b,a). R(b,b) @ b"},
+		Neg: []string{"R(a,b). R(b,a). R(b,b) @ a"},
+	}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := eng.Do(context.Background(), j)
+	if res.Err != nil || !res.Found || len(res.Queries) != 1 || res.Queries[0] != "q(b) :- R(b,b)" {
+		t.Fatalf("unique fitting of Example 3.33: %+v", res)
+	}
+	if c := eng.Stats().Cache; c.CoreMisses != 1 || c.CoreHits != 1 {
+		t.Errorf("core memo: %d misses, %d hits; want 1 and 1", c.CoreMisses, c.CoreHits)
+	}
+}

@@ -35,10 +35,13 @@ const maxMemoShards = 256
 // on one lock. Keys are SHA-256 fingerprints, so their leading bytes
 // already distribute uniformly across shards.
 //
-// Stored instances and assignments are deep-copied on both Put and Get:
-// the cache never shares mutable state with its callers, which keeps
-// concurrent workers race-free even though Instance builds its lookup
-// indexes lazily.
+// Assignments are deep-copied on both Put and Get, and cores and
+// products are stored in their EncodeBinary form (the bytes memo spill
+// persists) and decoded afresh on every Get: the cache never shares
+// mutable state with its callers, which keeps concurrent workers
+// race-free even though Instance builds its lookup indexes lazily. The
+// encoded form is also several times smaller than a deep copy, which
+// keeps the count-bounded core and product classes small in memory.
 type Memo struct {
 	shards []memoShard
 	mask   uint32
@@ -62,12 +65,12 @@ type Memo struct {
 }
 
 // memoShard is one lock stripe: a mutex and the three class maps it
-// guards.
+// guards. Core and product values are EncodeBinary bytes.
 type memoShard struct {
 	mu   sync.Mutex
 	hom  map[string]homEntry
-	core map[string]instance.Pointed
-	prod map[string]instance.Pointed
+	core map[string][]byte
+	prod map[string][]byte
 }
 
 type homEntry struct {
@@ -108,8 +111,8 @@ func NewMemoShards(maxEntries, shards int) *Memo {
 	for i := range m.shards {
 		m.shards[i] = memoShard{
 			hom:  make(map[string]homEntry),
-			core: make(map[string]instance.Pointed),
-			prod: make(map[string]instance.Pointed),
+			core: make(map[string][]byte),
+			prod: make(map[string][]byte),
 		}
 	}
 	return m
@@ -220,78 +223,95 @@ func (m *Memo) PutHom(ctx context.Context, from, to instance.Pointed, h hom.Assi
 
 // GetCore implements hom.Cache; misses fault in like GetHom.
 func (m *Memo) GetCore(ctx context.Context, p instance.Pointed) (instance.Pointed, bool) {
-	rec := obs.FromContext(ctx)
-	k := p.Fingerprint()
-	sh := m.shard(k)
-	sh.mu.Lock()
-	c, ok := sh.core[k]
-	sh.mu.Unlock()
-	if !ok && m.spill != nil {
-		if dec, faulted := m.spill.loadPointed(store.KindCore, k); faulted {
-			c = installFaulted(m, sh, sh.core, k, dec, store.KindCore, rec)
-			ok = true
-		}
-	}
-	if !ok {
-		m.coreMisses.Add(1)
-		rec.Add(obs.CtrMemoCoreMisses, 1)
-		return instance.Pointed{}, false
-	}
-	m.coreHits.Add(1)
-	rec.Add(obs.CtrMemoCoreHits, 1)
-	return c.Clone(), true
+	return m.getPointed(ctx, p.Fingerprint(), store.KindCore)
 }
 
 // PutCore implements hom.Cache.
 func (m *Memo) PutCore(ctx context.Context, p, core instance.Pointed) {
-	k := p.Fingerprint()
-	c := core.Clone()
-	sh := m.shard(k)
-	sh.mu.Lock()
-	evictIfFull(sh.core, k, m.perShard)
-	sh.core[k] = c
-	sh.mu.Unlock()
-	if m.spill != nil {
-		m.spill.savePointed(store.KindCore, k, c)
-	}
+	m.putPointed(p.Fingerprint(), store.KindCore, core)
 }
 
 // GetProduct implements instance.ProductCache; misses fault in like
 // GetHom.
 func (m *Memo) GetProduct(ctx context.Context, a, b instance.Pointed) (instance.Pointed, bool) {
-	rec := obs.FromContext(ctx)
-	k := pairKey(a, b)
-	sh := m.shard(k)
-	sh.mu.Lock()
-	p, ok := sh.prod[k]
-	sh.mu.Unlock()
-	if !ok && m.spill != nil {
-		if dec, faulted := m.spill.loadPointed(store.KindProduct, k); faulted {
-			p = installFaulted(m, sh, sh.prod, k, dec, store.KindProduct, rec)
-			ok = true
-		}
-	}
-	if !ok {
-		m.prodMisses.Add(1)
-		rec.Add(obs.CtrMemoProductMisses, 1)
-		return instance.Pointed{}, false
-	}
-	m.prodHits.Add(1)
-	rec.Add(obs.CtrMemoProductHits, 1)
-	return p.Clone(), true
+	return m.getPointed(ctx, pairKey(a, b), store.KindProduct)
 }
 
 // PutProduct implements instance.ProductCache.
 func (m *Memo) PutProduct(ctx context.Context, a, b, prod instance.Pointed) {
-	k := pairKey(a, b)
-	p := prod.Clone()
+	m.putPointed(pairKey(a, b), store.KindProduct, prod)
+}
+
+// class returns the shard map of the encoded class kind (store.KindCore
+// or store.KindProduct). The maps are made once in NewMemoShards and
+// never replaced, so reading the field needs no lock.
+func (sh *memoShard) class(kind byte) map[string][]byte {
+	if kind == store.KindCore {
+		return sh.core
+	}
+	return sh.prod
+}
+
+// getPointed looks up an encoded core or product and decodes a fresh
+// instance for the caller. Misses fault in like GetHom; a fault-in
+// serves the instance loadPointed decoded, so the record is decoded
+// once. Hits and misses count per class.
+func (m *Memo) getPointed(ctx context.Context, k string, kind byte) (instance.Pointed, bool) {
+	rec := obs.FromContext(ctx)
+	hits, misses, ctrHit, ctrMiss := &m.coreHits, &m.coreMisses, obs.CtrMemoCoreHits, obs.CtrMemoCoreMisses
+	if kind == store.KindProduct {
+		hits, misses, ctrHit, ctrMiss = &m.prodHits, &m.prodMisses, obs.CtrMemoProductHits, obs.CtrMemoProductMisses
+	}
 	sh := m.shard(k)
+	mp := sh.class(kind)
 	sh.mu.Lock()
-	evictIfFull(sh.prod, k, m.perShard)
-	sh.prod[k] = p
+	enc, ok := mp[k]
+	sh.mu.Unlock()
+	var p instance.Pointed
+	switch {
+	case ok:
+		p = decodeStored(enc)
+	case m.spill != nil:
+		var raw []byte
+		if p, raw, ok = m.spill.loadPointed(kind, k); ok {
+			// A concurrent install may win; its value is as valid for k
+			// as the record decoded here.
+			installFaulted(m, sh, mp, k, raw, kind, rec)
+		}
+	}
+	if !ok {
+		misses.Add(1)
+		rec.Add(ctrMiss, 1)
+		return instance.Pointed{}, false
+	}
+	hits.Add(1)
+	rec.Add(ctrHit, 1)
+	return p, true
+}
+
+// decodeStored decodes a core or product the memo holds. putPointed
+// stores EncodeBinary's bytes and a fault-in stores only bytes that
+// decoded, so a failure here is a broken invariant, not a miss.
+func decodeStored(enc []byte) instance.Pointed {
+	p, err := instance.DecodePointed(enc)
+	if err != nil {
+		panic("engine: stored memo entry does not decode: " + err.Error())
+	}
+	return p
+}
+
+// putPointed stores the encoding of a core or product, and spills the
+// same bytes when spill is on.
+func (m *Memo) putPointed(k string, kind byte, p instance.Pointed) {
+	enc := p.EncodeBinary()
+	sh := m.shard(k)
+	mp := sh.class(kind)
+	sh.mu.Lock()
+	evictIfFull(mp, k, m.perShard)
+	mp[k] = enc
 	sh.mu.Unlock()
 	if m.spill != nil {
-		m.spill.savePointed(store.KindProduct, k, p)
+		m.spill.savePointed(kind, k, enc)
 	}
 }
 

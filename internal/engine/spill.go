@@ -99,19 +99,21 @@ func (s *spillSink) loadHom(key string) (hom.Assignment, bool, bool) {
 }
 
 // loadPointed faults a persisted core (kind store.KindCore) or product
-// (store.KindProduct) in; like loadHom it probes and decodes without
-// counting — the installer counts.
-func (s *spillSink) loadPointed(kind byte, key string) (instance.Pointed, bool) {
+// (store.KindProduct) in: it returns the decoded instance for the
+// caller to serve and the record's bytes, the form the memo stores.
+// Like loadHom it probes and decodes without counting — the installer
+// counts.
+func (s *spillSink) loadPointed(kind byte, key string) (instance.Pointed, []byte, bool) {
 	val, ok := s.store.Probe(kind, key)
 	if !ok {
-		return instance.Pointed{}, false
+		return instance.Pointed{}, nil, false
 	}
 	p, err := instance.DecodePointed(val)
 	if err != nil {
 		s.badRecords.Add(1)
-		return instance.Pointed{}, false
+		return instance.Pointed{}, nil, false
 	}
-	return p, true
+	return p, val, true
 }
 
 // countFault records one installed fault for kind.
@@ -140,11 +142,10 @@ func (s *spillSink) saveHom(key string, h hom.Assignment, exists bool) {
 	}
 }
 
-// savePointed enqueues a core or product instance for persistence; like
-// saveHom, p is the memo's immutable deep copy and is encoded by the
-// writer goroutine.
-func (s *spillSink) savePointed(kind byte, key string, p instance.Pointed) {
-	w := storeWrite{kind: kind, key: key, encode: p.EncodeBinary}
+// savePointed enqueues an encoded core or product for persistence; enc
+// is the memo's own stored bytes, which nothing mutates.
+func (s *spillSink) savePointed(kind byte, key string, enc []byte) {
+	w := storeWrite{kind: kind, key: key, val: enc}
 	if s.enqueue(w) {
 		s.spilled.Add(1)
 	} else {

@@ -8,6 +8,7 @@ import (
 
 	"extremalcq/internal/fitting"
 	"extremalcq/internal/genex"
+	"extremalcq/internal/instance"
 	"extremalcq/internal/store"
 )
 
@@ -342,4 +343,49 @@ func BenchmarkNovelJobColdVsMemoWarm(b *testing.B) {
 		}
 		b.ReportMetric(float64(misses)/float64(b.N), "computations/op")
 	})
+}
+
+// TestMemoSpillPointedFaultIn pins the core/product fault-in path: a
+// persisted record that decodes is served, installed and counted once,
+// and later lookups hit the installed bytes; a record that does not
+// decode is a miss counted as a bad record, and nothing is installed.
+func TestMemoSpillPointedFaultIn(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	m := NewMemo(0)
+	m.spill = &spillSink{store: st, enqueue: func(storeWrite) bool { return true }}
+	ctx := context.Background()
+	pos, _ := genex.PrimeCycleFamily(3)
+	a, b := pos[0], pos[1]
+	prod, err := instance.Product(a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutKind(store.KindProduct, pairKey(a, b), prod.EncodeBinary()); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutKind(store.KindCore, a.Fingerprint(), []byte("not an encoded instance")); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 2; i++ {
+		got, ok := m.GetProduct(ctx, a, b)
+		if !ok || got.Fingerprint() != prod.Fingerprint() {
+			t.Fatalf("lookup %d: product served %v (ok %v), want the persisted product", i, got, ok)
+		}
+	}
+	if _, ok := m.GetCore(ctx, a); ok {
+		t.Fatalf("an undecodable core record was served")
+	}
+	s := m.spill.stats()
+	if s.FaultedProduct != 1 || s.FaultedCore != 0 || s.BadRecords != 1 {
+		t.Fatalf("spill stats %+v; want one product faulted in, no core, one bad record", s)
+	}
+	c := m.Stats()
+	if c.ProductHits != 2 || c.CoreMisses != 1 || c.Entries != 1 {
+		t.Fatalf("memo stats %+v; want 2 product hits, 1 core miss, 1 entry", c)
+	}
 }

@@ -36,9 +36,11 @@ const storeWriteQueueSize = 256
 // storeWrite is one record for the write-behind queue. The one-shot and
 // stream paths persist pre-encoded result records (val) under disjoint
 // keys; the memo-spill path persists hom/core/product records under
-// their own record kinds and defers serialization to the writer
-// goroutine (encode), keeping the encoding cost off the solver hot path
-// — and never paying it at all for writes dropped on a full queue.
+// their own record kinds. Cores and products are already stored encoded
+// in the memo, so they travel as val too; hom verdicts defer their
+// serialization to the writer goroutine (encode), keeping the encoding
+// cost off the solver hot path — and never paying it at all for writes
+// dropped on a full queue.
 type storeWrite struct {
 	kind byte
 	key  string

@@ -37,32 +37,39 @@ func VerifyWeaklyMostGeneralCtx(ctx context.Context, q *cq.CQ, e Examples) (bool
 	if !VerifyCtx(ctx, q, e) {
 		return false, nil
 	}
-	return verifyWeaklyMostGeneral(ctx, q, e)
+	return verifyWeaklyMostGeneral(ctx, hom.CoreCtx(ctx, q.Example()), e)
 }
 
 // verifyWeaklyMostGeneral is the Prop 3.11 test for a q its caller has
-// already shown to fit E: the core of q is c-acyclic and every member
-// of its frontier maps into a negative example.
-func verifyWeaklyMostGeneral(ctx context.Context, q *cq.CQ, e Examples) (bool, error) {
-	core := hom.CoreCtx(ctx, q.Example())
+// already shown to fit E, given core, the core of q's canonical
+// example: core is c-acyclic and every member of its frontier maps
+// into a negative example.
+func verifyWeaklyMostGeneral(ctx context.Context, core instance.Pointed, e Examples) (bool, error) {
 	if !instance.CAcyclic(core) {
 		// No frontier exists (Thm 2.12), so by Prop 3.11 q cannot be
 		// weakly most-general.
 		return false, nil
 	}
-	members, err := frontier.ForPointedCtx(ctx, core)
+	members, err := frontier.ForCoreCtx(ctx, core)
+	if errors.Is(err, frontier.ErrNoUNP) {
+		return false, fmt.Errorf("%w: %v", ErrUnsupported, err)
+	}
 	if err != nil {
-		if errors.Is(err, frontier.ErrNoUNP) {
-			return false, fmt.Errorf("%w: %v", ErrUnsupported, err)
-		}
 		return false, err
 	}
+	return frontierIntoNegatives(ctx, members, e), nil
+}
+
+// frontierIntoNegatives is the example-dependent half of the Prop 3.11
+// test: given the frontier of a fitting q's c-acyclic core, q is weakly
+// most-general iff every member maps into some negative example.
+func frontierIntoNegatives(ctx context.Context, members []instance.Pointed, e Examples) bool {
 	for _, m := range members {
 		if !hom.ExistsToAnyCtx(ctx, m, e.Neg) {
-			return false, nil
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // ---------------------------------------------------------------------
@@ -81,7 +88,7 @@ func VerifyUniqueCtx(ctx context.Context, q *cq.CQ, e Examples) (bool, error) {
 	if !VerifyMostSpecificCtx(ctx, q, e) {
 		return false, nil
 	}
-	return verifyWeaklyMostGeneral(ctx, q, e)
+	return verifyWeaklyMostGeneral(ctx, hom.CoreCtx(ctx, q.Example()), e)
 }
 
 // ExistsUnique decides, exactly, the existence problem for unique
@@ -92,13 +99,14 @@ func ExistsUnique(e Examples) (*cq.CQ, bool, error) {
 	return ExistsUniqueCtx(context.Background(), e)
 }
 
-// ExistsUniqueCtx is ExistsUnique under a solver context.
+// ExistsUniqueCtx is ExistsUnique under a solver context. The product
+// is cored once: the Prop 3.11 test and its frontier reuse that core.
 func ExistsUniqueCtx(ctx context.Context, e Examples) (*cq.CQ, bool, error) {
 	q, ok, err := ConstructCtx(ctx, e)
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	isWMG, err := verifyWeaklyMostGeneral(ctx, q, e)
+	isWMG, err := verifyWeaklyMostGeneral(ctx, hom.CoreCtx(ctx, q.Example()), e)
 	if err != nil {
 		return nil, false, err
 	}

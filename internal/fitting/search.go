@@ -5,11 +5,10 @@ import (
 
 	"extremalcq/internal/cq"
 	"extremalcq/internal/enum"
-	"extremalcq/internal/genex"
 	"extremalcq/internal/hom"
-	"extremalcq/internal/instance"
 	"extremalcq/internal/obs"
 	"extremalcq/internal/solve"
+	"extremalcq/internal/universe"
 )
 
 // SearchOpts bounds the candidate space of the synthesis searches. The
@@ -95,52 +94,41 @@ func AllWeaklyMostGeneralCtx(ctx context.Context, e Examples, opts SearchOpts) (
 // possibly repeating equivalent answers (ForEachWeaklyMostGeneralCtx
 // adds the dedup). The candidate stream is: the core of the positive
 // product first (this decides the unique-fitting case immediately),
-// then all bounded candidates. ctx is checked per candidate, so
-// cancellation cuts the enumeration short; so does the first
-// verification error on an *enumerated* candidate — those are
-// uniformly-shaped (distinct-tuple, hence UNP) data examples, so an
-// error there is a property of the input and decides the whole search.
-// An error on the product candidate alone is only a property of that
-// candidate (a product of repeated-tuple examples can be non-UNP while
-// every enumerated candidate is supported), so it is recorded and
-// skipped, preserving any answers the bounded enumeration still finds.
+// then the bounded candidates of internal/universe, whose cores and
+// frontiers do not depend on E: on an engine, one compiled c-acyclic
+// core per isomorphism class with its frontier already built, so each
+// costs only the two checks that depend on E — fit, and the frontier
+// members into the negatives. ctx is checked per candidate, so
+// cancellation cuts the enumeration short. Only the product candidate
+// can fail the Prop 3.11 test with an error: a product of
+// repeated-tuple examples can be non-UNP, while enumerated candidates
+// have distinct-value tuples. That error is a property of the product
+// alone, so it is recorded and skipped, preserving any answers the
+// bounded enumeration still finds.
 func forEachWMG(ctx context.Context, e Examples, opts SearchOpts, yield func(*cq.CQ) bool) error {
 	rec := obs.FromContext(ctx)
 	sp := rec.StartSpan(obs.PhaseEnum)
 	defer sp.End()
 	var firstErr error
-	// tryCandidate returns false to stop the enumeration; hardErr
-	// reports whether a recorded error should end the search.
-	tryCandidate := func(ex instance.Pointed, hardErr bool) bool {
+	if prod, err := e.PositiveProductCtx(ctx); err == nil && prod.IsDataExample() {
 		solve.Check(ctx)
 		rec.Add(obs.CtrEnumCandidates, 1)
-		q, err := cq.FromExample(ex)
-		if err != nil {
-			return true
-		}
-		if !VerifyCtx(ctx, q, e) {
-			return true
-		}
-		ok, err := verifyWeaklyMostGeneral(ctx, q, e)
-		if err != nil {
-			if firstErr == nil {
+		core := hom.CoreCtx(ctx, prod)
+		if q, err := cq.FromExample(core); err == nil && VerifyCtx(ctx, q, e) {
+			ok, err := verifyWeaklyMostGeneral(ctx, core, e)
+			if err != nil {
 				firstErr = err
+			} else if ok && !yield(q) {
+				return nil
 			}
-			return !hardErr
-		}
-		if ok {
-			return yield(q.CoreCtx(ctx))
-		}
-		return true
-	}
-
-	if prod, err := e.PositiveProductCtx(ctx); err == nil && prod.IsDataExample() {
-		if !tryCandidate(hom.CoreCtx(ctx, prod), false) {
-			return firstErr
 		}
 	}
-	genex.EnumerateDataExamplesCtx(ctx, e.Schema, e.Arity, opts.MaxAtoms, opts.MaxVars, func(ex instance.Pointed) bool {
-		return tryCandidate(ex, true)
+	fits := func(q *cq.CQ) bool {
+		rec.Add(obs.CtrEnumCandidates, 1)
+		return VerifyCtx(ctx, q, e)
+	}
+	universe.ForEach(ctx, e.Schema, e.Arity, opts.MaxAtoms, opts.MaxVars, fits, func(c *universe.Entry) bool {
+		return !frontierIntoNegatives(ctx, c.Frontier, e) || yield(c.Query)
 	})
 	return firstErr
 }

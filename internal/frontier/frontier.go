@@ -46,7 +46,15 @@ func ForPointed(e instance.Pointed) ([]instance.Pointed, error) {
 // computation is memoized through the cache carried by ctx and checks
 // ctx for cancellation (see hom.CoreCtx).
 func ForPointedCtx(ctx context.Context, e instance.Pointed) ([]instance.Pointed, error) {
-	core := hom.CoreCtx(ctx, e)
+	return ForCoreCtx(ctx, hom.CoreCtx(ctx, e))
+}
+
+// ForCoreCtx is ForPointedCtx for an input its caller has already
+// cored: core must be a core (as returned by hom.CoreCtx), and is not
+// cored again. Re-coring a core is never a memo hit (the memo keys a
+// core by its source instance, not by itself) and runs one failing
+// retraction search per non-distinguished element.
+func ForCoreCtx(ctx context.Context, core instance.Pointed) ([]instance.Pointed, error) {
 	sp := obs.FromContext(ctx).StartSpan(obs.PhaseFrontier)
 	defer sp.End()
 	if !core.HasUNP() {

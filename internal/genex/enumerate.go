@@ -27,8 +27,13 @@ func EnumerateInstances(sch *schema.Schema, maxFacts, maxVars int, yield func(*i
 // EnumerateInstancesCtx is EnumerateInstances under a solver context.
 // The candidate space is exponential in the bounds and pruned branches
 // never reach yield, so cancellation is checked at the worklist itself,
-// not only per emitted instance.
+// not only per emitted instance. A non-positive bound selects the empty
+// candidate space: this is the one place the searches' "negative bound
+// disables enumeration" contract is enforced.
 func EnumerateInstancesCtx(ctx context.Context, sch *schema.Schema, maxFacts, maxVars int, yield func(*instance.Instance) bool) {
+	if maxFacts <= 0 || maxVars <= 0 {
+		return
+	}
 	pool := make([]instance.Value, maxVars)
 	for i := range pool {
 		pool[i] = instance.Value(fmt.Sprintf("v%d", i))

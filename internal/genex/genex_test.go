@@ -153,3 +153,17 @@ func TestRandomGenerators(t *testing.T) {
 }
 
 func newRand() *rand.Rand { return rand.New(rand.NewSource(71)) }
+
+// A non-positive bound is the empty candidate space, never a panic.
+func TestEnumerateNonPositiveBounds(t *testing.T) {
+	for _, b := range [][2]int{{-1, 3}, {2, -1}, {0, 3}, {2, 0}} {
+		n := 0
+		EnumerateDataExamples(SchemaR(), 1, b[0], b[1], func(instance.Pointed) bool {
+			n++
+			return true
+		})
+		if n != 0 {
+			t.Errorf("bounds %d/%d enumerated %d candidates, want none", b[0], b[1], n)
+		}
+	}
+}

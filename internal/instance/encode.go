@@ -69,13 +69,21 @@ func DecodePointed(data []byte) (Pointed, error) {
 		return Pointed{}, fmt.Errorf("instance: decode: unknown version %d", data[0])
 	}
 	d := NewDecoder(data[1:])
+	// One string copy of the record backs every decoded name: relation
+	// names and values slice it instead of allocating a string each.
+	text := string(data)
+	str := func() (string, error) {
+		b, err := d.bytes()
+		end := len(data) - len(d.buf)
+		return text[end-len(b) : end], err
+	}
 	nRels, err := d.Count(1)
 	if err != nil {
 		return Pointed{}, err
 	}
 	rels := make([]schema.Relation, 0, nRels)
 	for i := uint64(0); i < nRels; i++ {
-		name, err := d.String()
+		name, err := str()
 		if err != nil {
 			return Pointed{}, err
 		}
@@ -96,9 +104,9 @@ func DecodePointed(data []byte) (Pointed, error) {
 	if err != nil {
 		return Pointed{}, err
 	}
-	in := New(sch)
+	in := &Instance{sch: sch, facts: make(map[string]Fact, nFacts), adom: make(map[Value]bool, nFacts)}
 	for i := uint64(0); i < nFacts; i++ {
-		rel, err := d.String()
+		rel, err := str()
 		if err != nil {
 			return Pointed{}, err
 		}
@@ -108,16 +116,16 @@ func DecodePointed(data []byte) (Pointed, error) {
 		}
 		args := make([]Value, 0, nArgs)
 		for j := uint64(0); j < nArgs; j++ {
-			a, err := d.String()
+			a, err := str()
 			if err != nil {
 				return Pointed{}, err
 			}
 			args = append(args, Value(a))
 		}
-		// AddFact re-validates relation, arity and non-empty values
+		// addFact re-validates relation, arity and non-empty values
 		// against the decoded schema (product values legitimately contain
 		// the pairing characters, so CheckValue does not apply here).
-		if err := in.AddFact(rel, args...); err != nil {
+		if err := in.addFact(Fact{Rel: rel, Args: args}); err != nil {
 			return Pointed{}, fmt.Errorf("instance: decode: %w", err)
 		}
 	}
@@ -127,7 +135,7 @@ func DecodePointed(data []byte) (Pointed, error) {
 	}
 	tuple := make([]Value, 0, nTuple)
 	for i := uint64(0); i < nTuple; i++ {
-		a, err := d.String()
+		a, err := str()
 		if err != nil {
 			return Pointed{}, err
 		}
@@ -184,16 +192,23 @@ func (d *Decoder) Count(minElemBytes int) (uint64, error) {
 
 // String reads one length-prefixed string.
 func (d *Decoder) String() (string, error) {
+	b, err := d.bytes()
+	return string(b), err
+}
+
+// bytes reads one length-prefixed string without copying it out of the
+// input.
+func (d *Decoder) bytes() ([]byte, error) {
 	n, err := d.Uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(len(d.buf)) {
-		return "", fmt.Errorf("instance: decode: string of %d bytes exceeds %d remaining", n, len(d.buf))
+		return nil, fmt.Errorf("instance: decode: string of %d bytes exceeds %d remaining", n, len(d.buf))
 	}
-	s := string(d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
-	return s, nil
+	return b, nil
 }
 
 // End reports an error unless the input has been fully consumed.

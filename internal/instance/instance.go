@@ -55,7 +55,12 @@ func NewFact(rel string, args ...Value) Fact {
 // membership. It is injective because the unit separator cannot occur in
 // values.
 func (f Fact) Key() string {
+	n := len(f.Rel)
+	for _, a := range f.Args {
+		n += 1 + len(a)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(f.Rel)
 	for _, a := range f.Args {
 		b.WriteByte(0x1f)
@@ -148,28 +153,25 @@ func (in *Instance) Schema() *schema.Schema { return in.sch }
 // AddFact adds R(args...) after validating the relation, arity and
 // values. Adding an existing fact is a no-op.
 func (in *Instance) AddFact(rel string, args ...Value) error {
-	ar, ok := in.sch.Arity(rel)
+	return in.addFact(NewFact(rel, args...))
+}
+
+// addFact is AddFact for a fact the instance may keep as it is (its
+// Args are not shared with the caller).
+func (in *Instance) addFact(f Fact) error {
+	ar, ok := in.sch.Arity(f.Rel)
 	if !ok {
-		return fmt.Errorf("instance: relation %s not in schema %s", rel, in.sch)
+		return fmt.Errorf("instance: relation %s not in schema %s", f.Rel, in.sch)
 	}
-	if len(args) != ar {
-		return fmt.Errorf("instance: %s expects %d arguments, got %d", rel, ar, len(args))
+	if len(f.Args) != ar {
+		return fmt.Errorf("instance: %s expects %d arguments, got %d", f.Rel, ar, len(f.Args))
 	}
-	for _, a := range args {
+	for _, a := range f.Args {
 		if a == "" {
-			return fmt.Errorf("instance: empty value in fact %s", rel)
+			return fmt.Errorf("instance: empty value in fact %s", f.Rel)
 		}
 	}
-	f := NewFact(rel, args...)
-	k := f.Key()
-	if _, dup := in.facts[k]; dup {
-		return nil
-	}
-	in.facts[k] = f
-	for _, a := range args {
-		in.adom[a] = true
-	}
-	in.invalidate()
+	in.addFactUnchecked(f)
 	return nil
 }
 
@@ -253,6 +255,18 @@ func (in *Instance) FactsWith(rel string, pos int, v Value) []Fact {
 func (in *Instance) FactsContaining(v Value) []Fact {
 	in.buildByVal()
 	return in.byVal[v]
+}
+
+// BuildIndexes builds every lazily computed lookup index and the
+// fingerprint up front. Reads of an instance otherwise write those
+// fields on first use, so an instance shared by concurrent readers
+// must be built this way before it is shared, and never mutated
+// afterwards.
+func (in *Instance) BuildIndexes() {
+	in.buildByRel()
+	in.buildByRelPos()
+	in.buildByVal()
+	in.Fingerprint()
 }
 
 func (in *Instance) buildByRel() {

@@ -25,6 +25,7 @@ var solverPackages = map[string]bool{
 	"genex":      true,
 	"hypergraph": true,
 	"compact":    true, // bitset search core: worker loops must checkpoint, workers must join
+	"universe":   true, // compiled candidate universes: walk and replay loops must checkpoint
 }
 
 // lockedIOPackages are the packages where holding a mutex across
@@ -42,13 +43,15 @@ var lockedIOPackages = map[string]bool{
 // tracks acquisition order across all of them, and goroleak treats
 // them — together with the solver packages — as goroutine owners.
 // enum carries no mutex today; it is in scope so one growing a lock
-// is checked from its first commit.
+// is checked from its first commit. universe carries the compiled
+// universe cache's mutex.
 var lockOrderPackages = map[string]bool{
 	"engine":     true,
 	"store":      true,
 	"enum":       true,
 	"hypergraph": true,
 	"obs":        true,
+	"universe":   true,
 }
 
 // errFlowPackages are the packages on the durability path, where a

@@ -43,7 +43,7 @@ func VerifyWeaklyMostGeneralCtx(ctx context.Context, q *cq.CQ, e Examples) (bool
 		return false, err
 	}
 	core := hom.CoreCtx(ctx, q.Example())
-	members, err := frontier.ForPointedCtx(ctx, core)
+	members, err := frontier.ForCoreCtx(ctx, core)
 	if err != nil {
 		return false, err
 	}
@@ -68,7 +68,7 @@ func StrictGeneralization(q *cq.CQ, e Examples, maxDepth int) (*cq.CQ, bool, err
 		return nil, false, err
 	}
 	core := hom.Core(q.Example())
-	members, err := frontier.ForPointed(core)
+	members, err := frontier.ForCoreCtx(context.Background(), core)
 	if err != nil {
 		return nil, false, err
 	}
