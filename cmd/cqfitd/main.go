@@ -3,8 +3,8 @@
 // Usage:
 //
 //	cqfitd [-addr :8080] [-workers N] [-queue N] [-cache N] [-timeout 30s]
-//	       [-max-streams N] [-store-dir DIR] [-store-max-bytes N]
-//	       [-memo-spill] [-slow-job-threshold 10s] [-pprof]
+//	       [-store-dir DIR] [-store-max-bytes N] [-memo-spill]
+//	       [-slow-job-threshold 10s] [-pprof]
 //
 // Endpoints:
 //
@@ -25,6 +25,10 @@
 //	                      including duration histograms (job, queue
 //	                      wait, per-task, per-phase)
 //	GET  /debug/pprof/*   Go runtime profiles; only with -pprof
+//
+// Streams and one-shot jobs share the job queue and the worker pool:
+// -workers bounds every concurrent solver, and a full queue (-queue)
+// refuses any job, streamed or not, with 429 and Retry-After.
 //
 // Logs are structured (log/slog text format) on stderr: one access
 // line per request (method, path, status, duration and, for job
@@ -76,7 +80,6 @@ func main() {
 		queue     = flag.Int("queue", 256, "job queue size")
 		cache     = flag.Int("cache", 0, "memo entries per class (0 = default, <0 = disable)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "default per-job deadline (0 = none)")
-		streams   = flag.Int("max-streams", 0, "concurrent stream bound; excess requests get 429 (0 = 4x workers)")
 		storeDir  = flag.String("store-dir", "", "persistent result store directory (empty = no persistence)")
 		storeMax  = flag.Int64("store-max-bytes", 256<<20, "store size budget; oldest segments evicted past it (<= 0 = unbounded)")
 		memoSpill = flag.Bool("memo-spill", false, "persist memo entries (hom/core/product) to the store so restarts accelerate novel jobs (requires -store-dir)")
@@ -122,7 +125,6 @@ func main() {
 		QueueSize:      *queue,
 		CacheSize:      *cache,
 		DefaultTimeout: *timeout,
-		MaxStreams:     *streams,
 		Store:          st,
 		MemoSpill:      *memoSpill,
 	})

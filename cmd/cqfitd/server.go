@@ -221,8 +221,8 @@ type streamFinalFrame struct {
 // first answers while the search is still running. The request context
 // is the subscription: a client that disconnects detaches from the
 // stream, and the underlying solver is canceled once nobody listens.
-// Admission control mirrors the one-shot endpoints: past the engine's
-// concurrent-stream bound the request is shed with 429.
+// Admission control is the one-shot endpoints': a stream waits in the
+// same job queue, and a full queue sheds the request with 429.
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var spec engine.JobSpec
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
@@ -245,7 +245,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		s.rejected.Add(1)
 		w.Header().Set("Retry-After", retryAfterSeconds)
-		httpError(w, http.StatusTooManyRequests, "too many open streams; retry later")
+		httpError(w, http.StatusTooManyRequests, "job queue full; retry later")
 		return
 	}
 	// Streams outlive any fixed bound: clear the connection write

@@ -194,6 +194,28 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestCandidateTableTooLarge400: search bounds whose candidate fact
+// table would exhaust memory (65,536² facts over R/2) are a bad job,
+// refused with 400 on both job endpoints before anything is built.
+func TestCandidateTableTooLarge400(t *testing.T) {
+	ts := newTestServer(t)
+	spec := engine.JobSpec{
+		Schema: "R/2", Arity: 1, Kind: "cq", Task: "weakly-most-general",
+		Neg: []string{"R(a,b) @ a"}, MaxVars: 65536,
+	}
+	for _, path := range []string{"/v1/jobs", "/v1/jobs/stream"} {
+		resp := postJSON(t, ts.URL+path, spec)
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "candidate facts") {
+			t.Errorf("%s: status = %d, body %s; want 400 naming the candidate facts", path, resp.StatusCode, body)
+		}
+	}
+}
+
 // wmgStreamSpec is an enumeration workload with two weakly most-general
 // answers within the default bounds.
 func wmgStreamSpec() engine.JobSpec {
@@ -273,11 +295,13 @@ func TestStreamUCQFinalFrameCarriesUnion(t *testing.T) {
 	}
 }
 
-// TestStreamAdmissionControl: past the engine's concurrent-stream bound
-// the streaming endpoint sheds load with 429 + Retry-After, and the
-// refusal is counted.
+// TestStreamAdmissionControl: a stream waits in the job queue like any
+// job, so with the one worker leading a stream and the one queue slot
+// taken the streaming endpoint sheds load with 429 + Retry-After, the
+// refusal is counted, and a slot freed by disconnected streams admits a
+// new stream.
 func TestStreamAdmissionControl(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 1, MaxStreams: 1})
+	eng := engine.New(engine.Options{Workers: 1, QueueSize: 1})
 	srv := newServer(eng)
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() {
@@ -292,26 +316,66 @@ func TestStreamAdmissionControl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs/stream", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
+	ctx, disconnect := context.WithCancel(context.Background())
+	defer disconnect()
+	open := func() *http.Response {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/jobs/stream", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
+	resp := open()
 	defer resp.Body.Close()
-	// First frame received: the one stream slot is demonstrably held.
+	// First frame received: the one worker demonstrably leads it.
 	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
 		t.Fatalf("reading first frame: %v", err)
 	}
-
-	second := postJSON(t, ts.URL+"/v1/jobs/stream", wmgStreamSpec())
-	second.Body.Close()
-	if second.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second stream: status = %d, want 429", second.StatusCode)
+	// An admitted stream commits its 200 at once, even while it waits
+	// in the queue.
+	queued := open()
+	defer queued.Body.Close()
+	if queued.StatusCode != http.StatusOK {
+		t.Fatalf("queued stream: status = %d, want 200", queued.StatusCode)
 	}
-	if second.Header.Get("Retry-After") == "" {
+
+	refused := postJSON(t, ts.URL+"/v1/jobs/stream", wmgStreamSpec())
+	refused.Body.Close()
+	if refused.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("third stream: status = %d, want 429", refused.StatusCode)
+	}
+	if refused.Header.Get("Retry-After") == "" {
 		t.Error("429 stream refusal missing Retry-After")
 	}
 	if srv.rejected.Load() != 1 {
 		t.Errorf("rejected counter = %d, want 1", srv.rejected.Load())
+	}
+
+	// Disconnecting both streams frees the worker and the queue slot.
+	disconnect()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		next := postJSON(t, ts.URL+"/v1/jobs/stream", wmgStreamSpec())
+		body, err := io.ReadAll(next.Body)
+		next.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.StatusCode == http.StatusOK {
+			if !strings.Contains(string(body), `"done":true`) {
+				t.Errorf("admitted stream did not complete: %s", body)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no stream admitted 10s after the disconnects: status %d", next.StatusCode)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -5,11 +5,18 @@
 // deadlines, and threads a per-engine, thread-safe memoization cache
 // (see Memo) through the hot paths — homomorphism checks, cores and
 // direct products — via the context-carried caches of internal/hom and
-// internal/instance. Identical jobs running concurrently are coalesced
-// by single-flight deduplication keyed by a canonical job fingerprint,
-// so a duplicate-heavy batch performs each distinct computation once.
-// The cqfit CLI and the cqfitd JSON service both run through this one
-// execution path.
+// internal/instance.
+//
+// Every job, one-shot or streamed, runs through one pipeline: Submit
+// and SubmitStream feed the one job queue; the worker that dequeues a
+// job first consults the persistent store, then the flight table, where
+// identical jobs share one computation (single-flight deduplication
+// keyed by a canonical job fingerprint, so a duplicate-heavy batch
+// performs each distinct computation once). A worker that finds no
+// flight leads a new one inline; every other submitter reads the flight
+// from a subscriber goroutine. A one-shot job keeps only the terminal
+// Result of its flight, a stream also every frame. The cqfit CLI and
+// the cqfitd JSON service both run through this one execution path.
 //
 // Engines are fully isolated from each other: each attaches its own
 // memo to the contexts of its jobs, so any number of caching engines
@@ -60,14 +67,6 @@ type Options struct {
 	// DefaultTimeout applies to jobs that do not set their own Timeout;
 	// zero means no default deadline.
 	DefaultTimeout time.Duration
-	// MaxStreams bounds the open streams (subscriptions, not flights)
-	// TrySubmitStream admits concurrently. Stream leaders run off-pool,
-	// and every distinct streaming job adds a solver, so the bound
-	// conservatively caps concurrent enumerations — dedup followers of
-	// a shared flight count against it too, even though they add no
-	// solver load. <= 0 selects 4 × Workers. SubmitStream is not
-	// bounded.
-	MaxStreams int
 	// Store attaches a persistent result store: completed results are
 	// written behind keyed by job fingerprint, and lookups run before
 	// dedup and the solvers, so answers survive restarts. The engine
@@ -141,36 +140,31 @@ type Engine struct {
 	closed  bool
 	subWG   sync.WaitGroup
 
-	// waiters tracks single-flight followers parked off-worker; Close
-	// waits for them before the final queue drain.
+	// waiters tracks the subscriber goroutines; Close waits for them
+	// before the final queue drain.
 	waiters sync.WaitGroup
 
-	// flights coalesces identical in-flight jobs by fingerprint: the
-	// first job to arrive computes, the rest wait for its result.
+	// flights coalesces identical in-flight jobs by flightKey: the first
+	// job to arrive computes, the rest read its frames and Result.
+	// flightMu also guards every flight's refs.
 	flightMu sync.Mutex
 	flights  map[string]*flight
-
-	// streams coalesces identical in-flight streaming jobs (see
-	// stream.go): followers replay the leader's prefix and tail live.
-	streamMu sync.Mutex
-	streams  map[string]*streamFlight
 
 	streamsStarted atomic.Int64 // streaming submissions accepted
 	streamsActive  atomic.Int64 // streams currently open
 	streamResults  atomic.Int64 // answer frames delivered to subscribers
 
-	solvers      atomic.Int64 // solver goroutines currently running
-	solverRuns   atomic.Int64 // solver goroutines ever launched
+	solvers      atomic.Int64 // solver runs in progress
+	solverRuns   atomic.Int64 // solver runs ever started
 	dedupLeaders atomic.Int64 // flights that performed the computation
-	dedupShared  atomic.Int64 // jobs that adopted an in-flight twin's result
+	dedupShared  atomic.Int64 // jobs that joined an in-flight twin's flight
 
 	// Write-behind persistence (nil/zero when no store is attached):
-	// leaders — and, with MemoSpill, solver goroutines via the memo —
-	// enqueue records on storeCh; the storeWriter goroutine drains it
-	// and signals storeWriterDone on exit. storeMu/storeClosed fence
-	// enqueues against the channel close: spill writes can arrive from
-	// solver goroutines that cancellation abandoned mid-unwind, after
-	// every awaited goroutine has finished.
+	// leaders — and, with MemoSpill, solvers via the memo — enqueue
+	// records on storeCh; the storeWriter goroutine drains it and signals
+	// storeWriterDone on exit. storeMu/storeClosed fence enqueues against
+	// the channel close: spill writes can arrive through the exported
+	// Memo from goroutines Close does not wait for.
 	storeMu         sync.RWMutex
 	storeClosed     bool
 	storeCh         chan storeWrite
@@ -209,21 +203,47 @@ type Engine struct {
 	phaseDur  map[string]*obs.Histogram
 }
 
+// envelope is one submission on its way through the pipeline. Exactly
+// one of out (a one-shot job's Result) and stream is set.
 type envelope struct {
-	ctx context.Context
-	job Job
-	out chan Result
+	ctx    context.Context
+	job    Job
+	out    chan Result
+	stream *Stream
+	// first marks a one-shot job that keeps only its first answer
+	// (Job.firstOnly); it is part of the flight and store keys.
+	first bool
 	// enqueued is the submission time; the gap to dispatch is the job's
 	// queue wait.
 	enqueued time.Time
 }
 
-// flight is one in-flight computation shared by identical jobs: res is
-// published before done is closed, so waiters reading after <-done see
-// the completed value.
+// flight is one computation shared by every submitter of identical jobs
+// (equal flightKey). The leader appends each frame and wakes the
+// subscribers, which read the frames at their own pace; done and final
+// publish the terminal Result. refs counts the attached submitters
+// (guarded by Engine.flightMu): the last to detach from an unfinished
+// flight cancels ctx, the solver context.
 type flight struct {
-	done chan struct{}
-	res  Result
+	key    string
+	ctx    context.Context
+	cancel context.CancelFunc
+	refs   int
+
+	mu     sync.Mutex
+	frames []string
+	wake   chan struct{} // closed and replaced on every frame; closed at completion
+	done   bool
+	final  Result
+}
+
+// emit appends one frame and wakes the subscribers.
+func (f *flight) emit(q string) {
+	f.mu.Lock()
+	f.frames = append(f.frames, q)
+	close(f.wake)
+	f.wake = make(chan struct{})
+	f.mu.Unlock()
 }
 
 // Pending is a handle to a submitted job.
@@ -250,9 +270,6 @@ func New(opts Options) *Engine {
 	if opts.QueueSize <= 0 {
 		opts.QueueSize = 64
 	}
-	if opts.MaxStreams <= 0 {
-		opts.MaxStreams = 4 * opts.Workers
-	}
 	rootCtx, rootCancel := context.WithCancel(context.Background())
 	e := &Engine{
 		opts:       opts,
@@ -262,7 +279,6 @@ func New(opts Options) *Engine {
 		rootCtx:    rootCtx,
 		rootCancel: rootCancel,
 		flights:    make(map[string]*flight),
-		streams:    make(map[string]*streamFlight),
 		tasks:      make(map[string]*taskAgg),
 		decomp:     hypergraph.NewCache(0),
 		universes:  universe.NewCache(),
@@ -311,15 +327,15 @@ func (e *Engine) Close() {
 		e.rootCancel()
 		e.wg.Wait()
 		// Only after every in-flight Submit has left its enqueue select
-		// and every single-flight waiter has resolved is the queue
-		// quiescent; the drain below is then final.
+		// and every subscriber has resolved is the queue quiescent; the
+		// drain below is then final.
 		e.subWG.Wait()
 		e.waiters.Wait()
 		// Every leader has finished, so no more result enqueues; fence
-		// the queue against late memo-spill writes from abandoned solver
-		// goroutines (they drop, counted) and flush it before declaring
-		// the engine quiescent (the caller may close the store right
-		// after Close returns).
+		// the queue against late memo-spill writes through the exported
+		// Memo (they drop, counted) and flush it before declaring the
+		// engine quiescent (the caller may close the store right after
+		// Close returns).
 		if e.storeCh != nil {
 			e.storeMu.Lock()
 			e.storeClosed = true
@@ -330,7 +346,7 @@ func (e *Engine) Close() {
 		for {
 			select {
 			case env := <-e.jobs:
-				env.out <- failedResult(env.job, ErrClosed)
+				e.settle(env, failedResult(env.job, ErrClosed))
 			default:
 				return
 			}
@@ -340,22 +356,14 @@ func (e *Engine) Close() {
 
 // Submit enqueues a job and returns immediately with a handle to its
 // eventual result. ctx governs both queue wait and execution: a context
-// canceled while the job is queued aborts it without executing. The
-// job's examples are deep-copied at submission, so the caller may reuse
-// or mutate them afterwards.
+// canceled while the job is queued aborts it without executing, and one
+// canceled while it runs resolves it at once (the shared computation
+// runs on while an identical job still waits for it). The job's
+// examples are deep-copied at submission, so the caller may reuse or
+// mutate them afterwards.
 func (e *Engine) Submit(ctx context.Context, j Job) *Pending {
-	p, env, ok := e.prepare(ctx, j)
-	if !ok {
-		return p
-	}
-	defer e.subWG.Done()
-	select {
-	case e.jobs <- env:
-	case <-env.ctx.Done():
-		p.out <- failedResult(j, env.ctx.Err())
-	case <-e.done:
-		p.out <- failedResult(j, ErrClosed)
-	}
+	p := &Pending{out: make(chan Result, 1)}
+	e.submit(ctx, &envelope{job: j, out: p.out}, true)
 	return p
 }
 
@@ -365,45 +373,39 @@ func (e *Engine) Submit(ctx context.Context, j Job) *Pending {
 // accepted and resolve immediately through the returned Pending, as in
 // Submit.
 func (e *Engine) TrySubmit(ctx context.Context, j Job) (*Pending, bool) {
-	p, env, ok := e.prepare(ctx, j)
-	if !ok {
-		return p, true
-	}
-	defer e.subWG.Done()
-	select {
-	case e.jobs <- env:
-		return p, true
-	case <-env.ctx.Done():
-		p.out <- failedResult(j, env.ctx.Err())
-		return p, true
-	case <-e.done:
-		p.out <- failedResult(j, ErrClosed)
-		return p, true
-	default:
+	p := &Pending{out: make(chan Result, 1)}
+	if !e.submit(ctx, &envelope{job: j, out: p.out}, false) {
 		return nil, false
 	}
+	return p, true
 }
 
-// prepare validates the job and registers the submission. ok=false means
-// the Pending already carries a terminal result and nothing was
-// registered; ok=true means the caller owns a subWG registration and
-// must enqueue (or fail) the returned envelope.
-func (e *Engine) prepare(ctx context.Context, j Job) (*Pending, *envelope, bool) {
+// submit validates env's job, sets its default bounds and queues it
+// for a worker. block selects waiting on a full queue (Submit) over
+// declining with false (TrySubmit). A job that fails before the queue
+// (invalid, a dead context, a closed engine) resolves through its
+// handle at once.
+func (e *Engine) submit(ctx context.Context, env *envelope, block bool) bool {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	p := &Pending{out: make(chan Result, 1)}
+	if env.stream != nil {
+		e.streamsActive.Add(1) // until settle
+	}
+	j := env.job
 	if err := j.Validate(); err != nil {
-		p.out <- failedResult(j, err)
-		return p, nil, false
+		e.settle(env, failedResult(j, err))
+		return true
 	}
 	// Deterministically refuse dead contexts before enqueueing.
 	if err := ctx.Err(); err != nil {
-		p.out <- failedResult(j, err)
-		return p, nil, false
+		e.settle(env, failedResult(j, err))
+		return true
 	}
+	j.Opts = j.searchOpts()
 	j.Examples = cloneExamples(j.Examples)
-	env := &envelope{ctx: ctx, job: j, out: p.out, enqueued: time.Now()}
+	env.ctx, env.job, env.enqueued = ctx, j, time.Now()
+	env.first = env.stream == nil && j.firstOnly()
 	// Register with subWG under the read lock, but do the (possibly
 	// blocking) enqueue outside it: Close waits for registered Submits
 	// before its final drain, and closing done wakes a Submit blocked on
@@ -411,12 +413,35 @@ func (e *Engine) prepare(ctx context.Context, j Job) (*Pending, *envelope, bool)
 	e.closeMu.RLock()
 	if e.closed {
 		e.closeMu.RUnlock()
-		p.out <- failedResult(j, ErrClosed)
-		return p, nil, false
+		e.settle(env, failedResult(j, ErrClosed))
+		return true
 	}
 	e.subWG.Add(1)
 	e.closeMu.RUnlock()
-	return p, env, true
+	defer e.subWG.Done()
+	if env.stream != nil {
+		e.streamsStarted.Add(1)
+	}
+	select {
+	case e.jobs <- env:
+		return true
+	default:
+	}
+	if !block {
+		if env.stream != nil {
+			e.streamsStarted.Add(-1)
+			e.streamsActive.Add(-1)
+		}
+		return false
+	}
+	select {
+	case e.jobs <- env:
+	case <-ctx.Done():
+		e.settle(env, failedResult(j, ctx.Err()))
+	case <-e.done:
+		e.settle(env, failedResult(j, ErrClosed))
+	}
+	return true
 }
 
 // Do runs a single job synchronously.
@@ -460,12 +485,12 @@ func (e *Engine) execute(env *envelope) {
 	// here keeps post-Close dequeues from spawning computations.)
 	select {
 	case <-e.done:
-		env.out <- failedResult(j, ErrClosed)
+		e.settle(env, failedResult(j, ErrClosed))
 		return
 	default:
 	}
 	if err := env.ctx.Err(); err != nil {
-		env.out <- failedResult(j, err)
+		e.settle(env, failedResult(j, err))
 		return
 	}
 	e.recordWait(time.Since(env.enqueued))
@@ -473,192 +498,222 @@ func (e *Engine) execute(env *envelope) {
 
 	// Persistent store first: a previously-computed answer (possibly
 	// from an earlier process) bypasses dedup and the solvers entirely.
-	if res, ok := e.storeLookup(j); ok {
-		if j.Trace {
-			// No solver ran, so the report is empty save for the flag:
-			// zero phases is the trace of a warm hit.
-			res.Trace = &obs.Report{StoreHit: true}
+	stored := e.storeLookup(j, env.first)
+	if stored != nil && env.stream == nil {
+		e.finish(env, start, stored.final)
+		return
+	}
+	f, led := stored, true
+	if f == nil {
+		f, led = e.join(env)
+	}
+	if led && f != stored && env.stream == nil {
+		// The leading submitter does not wait on its own worker: when its
+		// context ends it detaches and gets its failed Result at once,
+		// and the flight runs on for any twin (or is canceled if none is
+		// left). Once that callback has started, stop returns false and
+		// the callback owns the answer.
+		stop := context.AfterFunc(env.ctx, func() {
+			e.detach(f)
+			e.finish(env, start, failedResult(j, e.closeErr(env.ctx)))
+		})
+		e.lead(f, j, env.first)
+		if stop() {
+			e.finish(env, start, shape(f.final, j, true))
 		}
-		e.deliver(env, j, start, res)
 		return
 	}
-	key := j.fingerprint()
-	ctx, cancel := e.jobContext(env.ctx, j)
-
-	// Single-flight: identical jobs already in flight are joined, not
-	// recomputed. Followers park in a goroutine so the worker stays free
-	// for distinct work.
-	if res, led := e.tryLead(ctx, key, j); led {
-		cancel()
-		e.deliver(env, j, start, res)
-		return
-	}
+	// Every other submitter (a follower, or a stream, which may replay a
+	// stored flight) reads the flight from a goroutine of its own, so a
+	// follower's worker is free at once for distinct work.
 	e.waiters.Add(1)
-	go func() {
-		defer e.waiters.Done()
-		defer cancel()
-		e.deliver(env, j, start, e.followFlight(ctx, key, j))
-	}()
-}
-
-// deliver finalizes a result: execution wall time (including any
-// single-flight wait), stats, and the caller's channel.
-func (e *Engine) deliver(env *envelope, j Job, start time.Time, res Result) {
-	res.Elapsed = time.Since(start)
-	e.record(j, res)
-	env.out <- res
-}
-
-// tryLead registers a flight for key if none is live and runs the job as
-// its leader; led=false means another flight owns the key and the caller
-// must follow it.
-func (e *Engine) tryLead(ctx context.Context, key string, j Job) (Result, bool) {
-	e.flightMu.Lock()
-	if _, ok := e.flights[key]; ok {
-		e.flightMu.Unlock()
-		return Result{}, false
+	go e.subscribe(env, f, led, start)
+	if led && f != stored {
+		e.lead(f, j, env.first)
 	}
-	f := &flight{done: make(chan struct{})}
-	e.flights[key] = f
-	e.flightMu.Unlock()
-	return e.lead(ctx, key, f, j), true
 }
 
-// lead computes the flight's result and publishes it: res is stored, the
-// flight is retired (later identical jobs start fresh), then done is
-// closed so waiters observe the stored value.
-func (e *Engine) lead(ctx context.Context, key string, f *flight, j Job) Result {
-	e.dedupLeaders.Add(1)
-	res := e.runSolver(ctx, j)
-	e.storePut(j, res)
-	f.res = res
+// finish delivers the Result of a job that reached execution: its wall
+// time since dispatch (including any single-flight wait), stats, and
+// the submitter's handle.
+func (e *Engine) finish(env *envelope, start time.Time, res Result) {
+	res.Elapsed = time.Since(start)
+	e.record(env.job, res)
+	e.settle(env, res)
+}
+
+// settle hands a submission its terminal Result and closes the books
+// on an open stream.
+func (e *Engine) settle(env *envelope, res Result) {
+	if env.stream == nil {
+		env.out <- res
+		return
+	}
+	e.streamsActive.Add(-1)
+	env.stream.finish(res)
+}
+
+// join attaches env to the live flight for its key, or registers a new
+// flight that the caller must lead (led). The flight's context is
+// rooted in the engine, not in any submitter: submitters come and go,
+// and the computation runs on while anyone is attached. Close cancels
+// it, and so does the job's timeout, which every twin shares (it is
+// part of the key).
+func (e *Engine) join(env *envelope) (f *flight, led bool) {
+	key := env.job.flightKey(env.first)
 	e.flightMu.Lock()
-	delete(e.flights, key)
+	defer e.flightMu.Unlock()
+	if f := e.flights[key]; f != nil {
+		f.refs++
+		e.dedupShared.Add(1)
+		return f, false
+	}
+	f = &flight{key: key, refs: 1, wake: make(chan struct{})}
+	f.ctx, f.cancel = e.jobContext(env.job)
+	e.flights[key] = f
+	return f, true
+}
+
+// detach drops one submitter from f before it completed; the last one
+// out cancels the computation and retires the flight, so a later twin
+// starts afresh instead of adopting a canceled carcass.
+func (e *Engine) detach(f *flight) {
+	e.flightMu.Lock()
+	f.refs--
+	last := f.refs == 0 && !f.done
+	if last && e.flights[f.key] == f {
+		delete(e.flights, f.key)
+	}
 	e.flightMu.Unlock()
-	close(f.done)
+	if last {
+		f.cancel()
+	}
+}
+
+// lead computes f on the calling worker, each frame reaching the
+// subscribers as the solver emits it, then stores the Result (when it
+// succeeded) and publishes it. Retiring the flight and marking it done
+// happen under flightMu, so a new twin either joins the live flight or
+// misses it and leads a fresh one.
+func (e *Engine) lead(f *flight, j Job, first bool) {
+	e.dedupLeaders.Add(1)
+	res := e.runSolver(f.ctx, j, first, f.emit)
+	f.cancel()
+	e.storePut(j, first, f, res)
+	e.flightMu.Lock()
+	if e.flights[f.key] == f {
+		delete(e.flights, f.key)
+	}
+	f.mu.Lock()
+	f.done, f.final = true, res
+	close(f.wake)
+	f.mu.Unlock()
+	e.flightMu.Unlock()
+}
+
+// subscribe resolves one submitter from its flight: a stream receives
+// every frame in order, then the terminal Result; a one-shot submitter
+// only the Result. A submitter whose context ends, or whose engine
+// closes, detaches at once with a failed Result while the flight runs
+// on for its twins.
+func (e *Engine) subscribe(env *envelope, f *flight, led bool, start time.Time) {
+	defer e.waiters.Done()
+	fail := func() {
+		e.detach(f)
+		e.finish(env, start, failedResult(env.job, e.closeErr(env.ctx)))
+	}
+	for i := 0; ; {
+		f.mu.Lock()
+		switch {
+		case env.stream != nil && i < len(f.frames):
+			q := f.frames[i]
+			f.mu.Unlock()
+			if !e.send(env, Answer{Index: i, Query: q}) {
+				fail()
+				return
+			}
+			i++
+		case f.done:
+			f.mu.Unlock()
+			e.finish(env, start, shape(f.final, env.job, led))
+			return
+		default:
+			wake := f.wake
+			f.mu.Unlock()
+			select {
+			case <-wake:
+			case <-env.ctx.Done():
+				fail()
+				return
+			case <-e.done:
+				fail()
+				return
+			}
+		}
+	}
+}
+
+// shape returns a flight's Result as one submitter receives it, under
+// the submitter's label. The trace belongs to the flight's leader: a
+// traced twin gets a copy marked Shared, an untraced submitter none.
+func shape(res Result, j Job, led bool) Result {
+	res.Label = j.Label
+	if res.Trace != nil {
+		switch {
+		case !j.Trace:
+			res.Trace = nil
+		case !led:
+			t := res.Trace.Clone()
+			t.Shared = true
+			res.Trace = t
+		}
+	}
 	return res
 }
 
-// followFlight resolves a job that found an identical twin in flight: it
-// waits for the twin's result, honoring its own deadline, and adopts it
-// when shareable. A leader aborted by its own caller (a canceled
-// submission context, an earlier-started deadline) yields a result that
-// says nothing about this job, so a still-live follower re-enters the
-// flight map instead — exactly one waiting follower becomes the new
-// leader and the rest re-join its flight, never a recompute stampede.
-func (e *Engine) followFlight(ctx context.Context, key string, j Job) Result {
-	for {
-		e.flightMu.Lock()
-		f, ok := e.flights[key]
-		if !ok {
-			f = &flight{done: make(chan struct{})}
-			e.flights[key] = f
-			e.flightMu.Unlock()
-			return e.lead(ctx, key, f, j)
-		}
-		e.flightMu.Unlock()
-		select {
-		case <-f.done:
-			if res := f.res; !nonShareable(res.Err) {
-				e.dedupShared.Add(1)
-				res.Label = j.Label
-				// The leader's trace is shared, not this job's own: a
-				// traced follower gets a copy marked Shared, an
-				// untraced one gets no trace at all.
-				if res.Trace != nil {
-					if j.Trace {
-						t := res.Trace.Clone()
-						t.Shared = true
-						res.Trace = t
-					} else {
-						res.Trace = nil
-					}
-				}
-				return res
-			}
-			if ctx.Err() != nil {
-				return failedResult(j, e.closeErr(ctx))
-			}
-		case <-ctx.Done():
-			return failedResult(j, e.closeErr(ctx))
-		case <-e.done:
-			return failedResult(j, ErrClosed)
-		}
-	}
-}
-
-// nonShareable reports that err describes the fate of one particular
-// submission (canceled caller, expired deadline, closing engine) rather
-// than a property of the job itself, so a twin job must not adopt it.
-func nonShareable(err error) bool {
-	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, ErrClosed)
-}
-
-// jobContext derives the solver context for one execution: the job's (or
-// engine default) timeout on top of the submission context, with
-// cancellation linked to engine Close. The returned cancel releases both
-// links and must always be called.
-func (e *Engine) jobContext(parent context.Context, j Job) (context.Context, context.CancelFunc) {
+// jobContext derives a flight's solver context: the job's (or the
+// engine default) timeout under the root context Close cancels.
+func (e *Engine) jobContext(j Job) (context.Context, context.CancelFunc) {
 	timeout := j.Timeout
 	if timeout <= 0 {
 		timeout = e.opts.DefaultTimeout
 	}
-	var ctx context.Context
-	var cancel context.CancelFunc
 	if timeout > 0 {
-		ctx, cancel = context.WithTimeout(parent, timeout)
-	} else {
-		ctx, cancel = context.WithCancel(parent)
+		return context.WithTimeout(e.rootCtx, timeout)
 	}
-	stop := context.AfterFunc(e.rootCtx, cancel)
-	return ctx, func() { stop(); cancel() }
+	return context.WithCancel(e.rootCtx)
 }
 
-// runSolver executes the job on a dedicated goroutine with the engine's
-// memo attached to the solver context, and returns as soon as the job
-// finishes or ctx is done. The algorithms check ctx inside their search
-// loops, so on cancellation the solver goroutine unwinds within a few
-// search steps instead of running the computation to completion.
+// runSolver runs the job's dispatch on the calling goroutine with the
+// engine's memo and caches attached to the solver context, passing each
+// frame to emit. The algorithms check ctx inside their search loops, so
+// a cancellation unwinds the run within a few search steps, into a
+// failed Result.
 //
-// For traced jobs a fresh recorder rides the solver context; the root
-// solve span opens and closes on the solver goroutine itself, so its
-// duration is pure solver wall time. A job abandoned by its deadline
-// still yields a (partial) report — the recorder is snapshot-safe
-// against the unwinding goroutine.
-func (e *Engine) runSolver(ctx context.Context, j Job) Result {
+// For traced jobs a fresh recorder rides the solver context and the
+// root solve span covers the dispatch, so its duration is pure solver
+// wall time; a run cut short by its deadline still yields the report
+// of what it did.
+func (e *Engine) runSolver(ctx context.Context, j Job, first bool, emit func(string)) Result {
 	solveCtx := e.solverContext(ctx)
 	var rec *obs.Recorder
 	if j.Trace {
 		rec = obs.NewRecorder()
 		solveCtx = obs.WithRecorder(solveCtx, rec)
 	}
-	ch := make(chan Result, 1)
 	e.solvers.Add(1)
 	e.solverRuns.Add(1)
-	go func() {
-		defer e.solvers.Add(-1)
-		res := func() Result {
-			sp := rec.StartSpan(obs.PhaseSolve)
-			defer sp.End()
-			return run(solveCtx, j)
-		}()
-		ch <- res
+	defer e.solvers.Add(-1)
+	res, err := func() (Result, error) {
+		sp := rec.StartSpan(obs.PhaseSolve)
+		defer sp.End()
+		return dispatch(solveCtx, j, first, emit)
 	}()
-	select {
-	case res := <-ch:
-		res.Trace = e.finishTrace(rec)
-		return res
-	case <-ctx.Done():
-		res := failedResult(j, e.closeErr(ctx))
-		res.Trace = e.finishTrace(rec)
-		return res
-	case <-e.done:
-		res := failedResult(j, ErrClosed)
-		res.Trace = e.finishTrace(rec)
-		return res
+	if err != nil {
+		res = failedResult(j, e.closeErr(ctx))
 	}
+	res.Trace = e.finishTrace(rec)
+	return res
 }
 
 // finishTrace snapshots a traced job's recorder into its report and
@@ -781,17 +836,16 @@ type Stats struct {
 	QueueDepth int   `json:"queue_depth"`
 	JobsDone   int64 `json:"jobs_done"`
 	JobsFailed int64 `json:"jobs_failed"`
-	// ActiveSolvers counts solver goroutines currently running; after
-	// deadlines or Close it settles back to zero promptly because the
-	// searches are interruptible.
+	// ActiveSolvers counts solver runs in progress; after deadlines or
+	// Close it settles back to zero promptly because the searches are
+	// interruptible.
 	ActiveSolvers int64 `json:"active_solvers"`
-	// SolverRuns counts solver goroutines ever launched; a warm store
-	// or memo path leaves it untouched, so the zero-recompute claim of
-	// the persistence layer is directly observable.
+	// SolverRuns counts solver runs ever started; a warm store or memo
+	// path leaves it untouched, so the zero-recompute claim of the
+	// persistence layer is directly observable.
 	SolverRuns int64 `json:"solver_runs"`
 	// DedupLeaders counts computations actually performed; DedupShared
-	// counts jobs that adopted the result of an identical in-flight job
-	// (followers that had to recompute count as leaders instead).
+	// counts jobs that joined an identical job's flight.
 	DedupLeaders int64                `json:"dedup_leaders"`
 	DedupShared  int64                `json:"dedup_shared"`
 	Cache        CacheStats           `json:"cache"`

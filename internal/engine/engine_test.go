@@ -60,10 +60,11 @@ func dupBatch(t *testing.T, nCopies int) []Job {
 func TestBatchCacheHitsAndParity(t *testing.T) {
 	jobs := dupBatch(t, 8)
 
-	// Direct results, computed without any cache attached.
+	// Direct results, computed by the dispatch alone: no engine, so no
+	// memo, store or flight (Background never unwinds, so err is nil).
 	direct := make([]Result, len(jobs))
 	for i, j := range jobs {
-		direct[i] = run(context.Background(), j)
+		direct[i], _ = dispatch(context.Background(), j, false, func(string) {})
 	}
 
 	eng := New(Options{Workers: 8, QueueSize: 8})
@@ -272,14 +273,16 @@ func TestJobSpecPartialBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := run(context.Background(), j)
+	eng := New(Options{})
+	defer eng.Close()
+	res := eng.Do(context.Background(), j)
 	if res.Err != nil || !res.Found {
 		t.Fatalf("search with partial bounds found nothing: %+v", res)
 	}
 	// The same normalization applies to directly-constructed Jobs whose
 	// Opts are left zero (the documented behavior).
 	j.Opts = fitting.SearchOpts{}
-	res = run(context.Background(), j)
+	res = eng.Do(context.Background(), j)
 	if res.Err != nil || !res.Found {
 		t.Fatalf("search with zero opts found nothing: %+v", res)
 	}

@@ -15,39 +15,27 @@ import (
 // expanded to before the engine falls back to reporting its DAG shape.
 const maxTreeExpand = 100000
 
-// run executes a validated job synchronously under ctx and fills in
-// everything of the Result except Elapsed. It is a pure dispatch onto
-// the fitting, ucqfit and tree packages — the same calls the facade
-// exposes — so engine results are identical to direct library calls
-// (modulo the per-engine memo carried by ctx, which only changes cost,
-// not answers). A cancellation unwinding out of the solvers is caught
-// and yields a clean failed Result: whatever fields the dispatch had
-// already filled in (a Found flag without its rendered queries, say)
-// are discarded rather than delivered half-set next to the error.
-func run(ctx context.Context, j Job) Result {
-	res, err := dispatch(ctx, j)
-	if err != nil {
-		return failedResult(j, err)
-	}
-	return res
-}
-
-// dispatch runs the job; err is non-nil only for a cancellation unwind
-// (ordinary failures travel inside res.Err).
-func dispatch(ctx context.Context, j Job) (res Result, err error) {
+// dispatch runs a validated job with default-filled bounds under ctx
+// and fills in everything of the Result except Elapsed and Trace. It is
+// a pure dispatch onto the fitting, ucqfit and tree packages — the same
+// calls the facade exposes — so engine results are identical to direct
+// library calls (modulo the per-engine memo carried by ctx, which only
+// changes cost, not answers). emit receives the job's frames: the
+// enumeration tasks emit each answer as they find it, every other task
+// its Result's queries at the end. first stops a weakly most-general
+// search at its first answer (see Job.firstOnly).
+//
+// err is non-nil only for a cancellation unwinding out of the solvers
+// (ordinary failures travel inside res.Err); the caller then discards
+// whatever fields the dispatch had already filled in (a Found flag
+// without its rendered queries, say) rather than deliver them half-set
+// next to the error.
+func dispatch(ctx context.Context, j Job, first bool, emit func(string)) (res Result, err error) {
 	defer solve.Catch(&err)
 	res = Result{Label: j.Label, Kind: j.Kind, Task: j.Task}
-	if err := j.Validate(); err != nil {
-		res.Err = err
+	if j.Task == TaskWeaklyMostGeneral || j.Task == TaskBasis {
+		enumerate(ctx, j, first, &res, emit)
 		return res, nil
-	}
-	// Per Job.Opts: a zero bound selects the default; negative bounds
-	// pass through (disabling enumeration for that dimension).
-	if j.Opts.MaxAtoms == 0 {
-		j.Opts.MaxAtoms = fitting.DefaultSearch().MaxAtoms
-	}
-	if j.Opts.MaxVars == 0 {
-		j.Opts.MaxVars = fitting.DefaultSearch().MaxVars
 	}
 	switch j.Kind {
 	case KindCQ:
@@ -56,6 +44,9 @@ func dispatch(ctx context.Context, j Job) (res Result, err error) {
 		runUCQ(ctx, j, &res)
 	case KindTree:
 		runTree(ctx, j, &res)
+	}
+	for _, q := range res.Queries {
+		emit(q)
 	}
 	return res, nil
 }
@@ -69,18 +60,6 @@ func runCQ(ctx context.Context, j Job, res *Result) {
 		q, ok, err := fitting.ConstructMostSpecificCtx(ctx, e)
 		if fill(res, ok, err) {
 			res.Queries = []string{q.CoreCtx(ctx).String()}
-		}
-	case TaskWeaklyMostGeneral:
-		q, found, err := fitting.SearchWeaklyMostGeneralCtx(ctx, e, j.Opts)
-		if fill(res, found, err) {
-			res.Queries = []string{q.String()}
-		}
-	case TaskBasis:
-		basis, found, err := fitting.SearchBasisCtx(ctx, e, j.Opts)
-		if fill(res, found, err) {
-			for _, b := range basis {
-				res.Queries = append(res.Queries, b.String())
-			}
 		}
 	case TaskUnique:
 		q, ok, err := fitting.ExistsUniqueCtx(ctx, e)
@@ -105,11 +84,6 @@ func runUCQ(ctx context.Context, j Job, res *Result) {
 	case TaskConstruct, TaskMostSpecific:
 		u, ok, err := ucqfit.ConstructCtx(ctx, e)
 		if fill(res, ok, err) {
-			res.Queries = []string{u.String()}
-		}
-	case TaskWeaklyMostGeneral, TaskBasis:
-		u, found, err := ucqfit.SearchMostGeneralCtx(ctx, e, j.Opts)
-		if fill(res, found, err) {
 			res.Queries = []string{u.String()}
 		}
 	case TaskUnique:
@@ -149,18 +123,6 @@ func runTree(ctx context.Context, j Job, res *Result) {
 		if fill(res, ok, err) {
 			res.Queries = []string{q.CoreCtx(ctx).String()}
 		}
-	case TaskWeaklyMostGeneral:
-		q, found, err := tree.SearchWeaklyMostGeneralCtx(ctx, e, j.Opts)
-		if fill(res, found, err) {
-			res.Queries = []string{q.String()}
-		}
-	case TaskBasis:
-		basis, found, err := tree.SearchBasisCtx(ctx, e, j.Opts)
-		if fill(res, found, err) {
-			for _, b := range basis {
-				res.Queries = append(res.Queries, b.String())
-			}
-		}
 	case TaskUnique:
 		q, ok, err := tree.ExistsUniqueCtx(ctx, e)
 		if fill(res, ok, err) {
@@ -183,147 +145,64 @@ func fill(res *Result, found bool, err error) bool {
 	return err == nil && found
 }
 
-// ---------------------------------------------------------------------
-// Streaming dispatch
-// ---------------------------------------------------------------------
-
-// runStream executes a validated job in streaming mode: enumeration
-// tasks pass each verified answer to emit as soon as it is found;
-// single-answer tasks degrade to a one-frame stream of their result's
-// queries. The returned Result is the terminal summary (for enumeration
-// tasks, Queries holds the task's final answer list). As in run, a
-// cancellation unwinding out of the solvers yields a clean failed
-// Result.
-func runStream(ctx context.Context, j Job, emit func(string)) Result {
-	res, err := dispatchStream(ctx, j, emit)
-	if err != nil {
-		return failedResult(j, err)
+// enumerate runs the weakly most-general and basis searches: each
+// answer is a frame as soon as the search verifies it (for UCQs, each
+// candidate disjunct), and the Result carries the task's answer list —
+// for UCQs the verified union, for a basis the answers only once they
+// verify as one.
+func enumerate(ctx context.Context, j Job, first bool, res *Result, emit func(string)) {
+	var all []*cq.CQ
+	var frames []string
+	yield := func(q *cq.CQ) bool {
+		s := q.String()
+		all = append(all, q)
+		frames = append(frames, s)
+		emit(s)
+		return !first
 	}
-	return res
-}
-
-func dispatchStream(ctx context.Context, j Job, emit func(string)) (res Result, err error) {
-	defer solve.Catch(&err)
-	res = Result{Label: j.Label, Kind: j.Kind, Task: j.Task}
-	if err := j.Validate(); err != nil {
-		res.Err = err
-		return res, nil
-	}
-	if j.Opts.MaxAtoms == 0 {
-		j.Opts.MaxAtoms = fitting.DefaultSearch().MaxAtoms
-	}
-	if j.Opts.MaxVars == 0 {
-		j.Opts.MaxVars = fitting.DefaultSearch().MaxVars
-	}
-	enumerating := j.Task == TaskWeaklyMostGeneral || j.Task == TaskBasis
-	if !enumerating {
-		// Single-answer tasks: run the one-shot dispatch and emit its
-		// queries as the stream's frames.
-		res, err = dispatch(ctx, j)
-		if err == nil {
-			for _, q := range res.Queries {
-				emit(q)
-			}
-		}
-		return res, err
-	}
+	var err error
+	var verifyBasis func(context.Context, []*cq.CQ, fitting.Examples) (bool, error)
 	switch j.Kind {
 	case KindCQ:
-		streamCQ(ctx, j, &res, emit)
-	case KindUCQ:
-		streamUCQ(ctx, j, &res, emit)
+		err = fitting.ForEachWeaklyMostGeneralCtx(ctx, j.Examples, j.Opts, yield)
+		verifyBasis = fitting.VerifyBasisCtx
 	case KindTree:
-		streamTree(ctx, j, &res, emit)
-	}
-	return res, nil
-}
-
-// streamCQ streams the weakly most-general enumeration for CQs: one
-// frame per answer; a basis task additionally verifies the collected
-// answers exactly at the end.
-func streamCQ(ctx context.Context, j Job, res *Result, emit func(string)) {
-	var all []*cq.CQ
-	err := fitting.ForEachWeaklyMostGeneralCtx(ctx, j.Examples, j.Opts, func(q *cq.CQ) bool {
-		all = append(all, q)
-		emit(q.String())
-		return true
-	})
-	finishEnumStream(res, err, renderAll(all), func() (bool, error) {
-		return fitting.VerifyBasisCtx(ctx, all, j.Examples)
-	}, j.Task)
-}
-
-// streamTree is streamCQ over tree CQs.
-func streamTree(ctx context.Context, j Job, res *Result, emit func(string)) {
-	var all []*cq.CQ
-	err := tree.ForEachWeaklyMostGeneralCtx(ctx, j.Examples, j.Opts, func(q *cq.CQ) bool {
-		all = append(all, q)
-		emit(q.String())
-		return true
-	})
-	finishEnumStream(res, err, renderAll(all), func() (bool, error) {
-		return tree.VerifyBasisCtx(ctx, all, j.Examples)
-	}, j.Task)
-}
-
-// streamUCQ streams the most-general UCQ search: each candidate
-// disjunct is a frame as the enumeration reaches it, and the terminal
-// summary carries the verified union (or not-found).
-func streamUCQ(ctx context.Context, j Job, res *Result, emit func(string)) {
-	var cands []*cq.CQ
-	if err := ucqfit.ForEachMostGeneralCandidateCtx(ctx, j.Examples, j.Opts, func(q *cq.CQ) bool {
-		cands = append(cands, q)
-		emit(q.String())
-		return true
-	}); err != nil {
-		res.Err = err
-		return
-	}
-	if len(cands) == 0 {
-		return
-	}
-	u, ok, err := ucqfit.CombineMostGeneralCtx(ctx, j.Examples, cands)
-	if fill(res, ok, err) {
-		res.Queries = []string{u.String()}
-	}
-}
-
-// finishEnumStream fills the terminal summary of a CQ/tree enumeration
-// stream: for weakly-most-general the answers are the result; for basis
-// the collected answers must additionally verify as a basis.
-func finishEnumStream(res *Result, err error, queries []string, verifyBasis func() (bool, error), task Task) {
-	if err != nil {
-		// The emitted frames are verified answers even when the search
-		// ended in an error (e.g. the unsupported product candidate), so
-		// a weakly-most-general summary keeps them next to the error —
-		// mirroring the one-shot search, which reports found answers
-		// alongside its firstErr. A basis cannot be verified from an
-		// incomplete candidate set, so it stays not-found.
-		res.Err = err
-		if task != TaskBasis {
-			res.Found = len(queries) > 0
-			res.Queries = queries
-		}
-		return
-	}
-	if task == TaskBasis {
-		if len(queries) == 0 {
+		err = tree.ForEachWeaklyMostGeneralCtx(ctx, j.Examples, j.Opts, yield)
+		verifyBasis = tree.VerifyBasisCtx
+	case KindUCQ:
+		if err := ucqfit.ForEachMostGeneralCandidateCtx(ctx, j.Examples, j.Opts, yield); err != nil {
+			res.Err = err
 			return
 		}
-		ok, err := verifyBasis()
-		if fill(res, ok, err) {
-			res.Queries = queries
+		if len(all) > 0 {
+			u, ok, err := ucqfit.CombineMostGeneralCtx(ctx, j.Examples, all)
+			if fill(res, ok, err) {
+				res.Queries = []string{u.String()}
+			}
 		}
 		return
 	}
-	res.Found = len(queries) > 0
-	res.Queries = queries
-}
-
-func renderAll(qs []*cq.CQ) []string {
-	out := make([]string, len(qs))
-	for i, q := range qs {
-		out[i] = q.String()
+	switch {
+	case err != nil:
+		// The frames are verified answers even when the search ended in
+		// an error (e.g. the unsupported product candidate), so a weakly
+		// most-general Result keeps them next to the error, unless it
+		// stopped at its first answer: that one reports none. A basis
+		// cannot be verified from an incomplete candidate set, so it
+		// stays not-found.
+		res.Err = err
+		if j.Task == TaskWeaklyMostGeneral {
+			res.Found = len(frames) > 0
+			if !first {
+				res.Queries = frames
+			}
+		}
+	case j.Task == TaskWeaklyMostGeneral:
+		res.Found, res.Queries = len(frames) > 0, frames
+	case len(all) > 0:
+		ok, err := verifyBasis(ctx, all, j.Examples)
+		if fill(res, ok, err) {
+			res.Queries = frames
+		}
 	}
-	return out
 }

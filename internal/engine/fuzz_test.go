@@ -31,7 +31,7 @@ func FuzzJobSpecJSON(f *testing.F) {
 		}
 		// The fingerprint paths must hold for anything Build accepts
 		// (they hash examples and schema unconditionally).
-		if job.fingerprint() == job.storeKey() && job.Timeout != 0 {
+		if job.flightKey(false) == job.storeKey(false) && job.Timeout != 0 {
 			t.Fatalf("timeout not folded into the dedup fingerprint")
 		}
 	})

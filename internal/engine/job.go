@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"extremalcq/internal/fitting"
+	"extremalcq/internal/genex"
 	"extremalcq/internal/instance"
 	"extremalcq/internal/obs"
 	"extremalcq/internal/schema"
@@ -103,41 +104,75 @@ func (j Job) Validate() error {
 	if j.Task == TaskVerify && strings.TrimSpace(j.Query) == "" {
 		return fmt.Errorf("engine: verify task needs a query")
 	}
+	if j.Task == TaskWeaklyMostGeneral || j.Task == TaskBasis {
+		opts := j.searchOpts()
+		if n := genex.TableSize(j.Examples.Schema, opts.MaxAtoms, opts.MaxVars); n > maxCandidateFacts {
+			return fmt.Errorf("engine: max_vars %d needs a table of %d candidate facts over this schema; at most %d are allowed",
+				opts.MaxVars, n, maxCandidateFacts)
+		}
+	}
 	return nil
 }
 
-// fingerprint returns a canonical digest of everything that determines
-// the job's outcome — kind, task, query text, normalized search bounds,
-// timeout and the exact example contents — and nothing else (the label
-// is presentation-only and Trace only adds reporting). Jobs with equal fingerprints are
-// interchangeable, which is what single-flight dedup relies on; the
-// timeout participates so a job with a tight deadline never adopts the
-// fate of a twin with a loose one, or vice versa.
-func (j Job) fingerprint() string { return j.digest(true) }
+// maxCandidateFacts bounds the candidate fact table a weakly
+// most-general or basis search builds before its first check (see
+// genex.TableSize; ~0.8 KB a fact), so one request cannot exhaust
+// memory. Every shipped workload and test stays under 100 facts.
+const maxCandidateFacts = 4096
 
-// FingerprintHex returns the job's canonical fingerprint as a hex
-// string, for log correlation (access lines, slow-job warnings).
-func (j Job) FingerprintHex() string {
-	return hex.EncodeToString([]byte(j.fingerprint()))
+// searchOpts returns the job's search bounds with every zero field set
+// to its fitting.DefaultSearch() value (see Opts).
+func (j Job) searchOpts() fitting.SearchOpts {
+	opts := j.Opts
+	if opts.MaxAtoms == 0 {
+		opts.MaxAtoms = fitting.DefaultSearch().MaxAtoms
+	}
+	if opts.MaxVars == 0 {
+		opts.MaxVars = fitting.DefaultSearch().MaxVars
+	}
+	return opts
 }
 
-// storeKey is the fingerprint without the timeout. Only successful
-// results reach the persistent store, and a success is
+// firstOnly reports whether a one-shot run of j keeps only its first
+// answer: the weakly most-general CQ and tree searches return one
+// query, while their streams enumerate every answer. Every other job
+// computes the same Result either way.
+func (j Job) firstOnly() bool {
+	return j.Task == TaskWeaklyMostGeneral && j.Kind != KindUCQ
+}
+
+// flightKey keys single-flight dedup: a canonical digest of everything
+// that determines the job's outcome — kind, task, query text,
+// normalized search bounds, timeout and the exact example contents —
+// and nothing else (the label is presentation-only and Trace only adds
+// reporting), plus the first-answer-only bit (see firstOnly). Jobs with
+// equal keys are interchangeable: a one-shot search that stops at its
+// first answer never shares a flight with its stream, while the
+// one-shot and streamed twins of every other job do. The timeout
+// participates so a job with a tight deadline never adopts the fate of
+// a twin with a loose one, or vice versa.
+func (j Job) flightKey(first bool) string { return j.digest(true, first) }
+
+// FingerprintHex returns the job's canonical fingerprint, its flight
+// key without the first-answer-only bit, as a hex string for log
+// correlation (access lines, slow-job warnings).
+func (j Job) FingerprintHex() string {
+	return hex.EncodeToString([]byte(j.flightKey(false)))
+}
+
+// storeKey keys the persistent store: flightKey without the timeout.
+// Only successful results reach the store, and a success is
 // timeout-independent (the deadline decides whether an answer is
 // computed, never which), so keying the store on the timeout would
 // only fragment it: a job solved under -timeout 30s should warm-serve
 // the same problem resubmitted under 60s.
-func (j Job) storeKey() string { return j.digest(false) }
+func (j Job) storeKey(first bool) string { return j.digest(false, first) }
 
-// streamFingerprint and streamStoreKey are the streaming-mode analogues
-// of fingerprint and storeKey, in a disjoint keyspace: a streaming
-// enumeration computes the job's full answer list, not the one-shot
-// first answer, so the two modes must never coalesce in single-flight
-// dedup or share store records.
-func (j Job) streamFingerprint() string { return "s!" + j.digest(true) }
-func (j Job) streamStoreKey() string    { return "s!" + j.digest(false) }
-
-func (j Job) digest(withTimeout bool) string {
+// digest hashes the job. The first-answer-only bit is hashed only when
+// set, so every other job keeps the store key it had before the bit
+// existed: a record in an older shape under it is found, counted as
+// bad and overwritten, rather than left unread.
+func (j Job) digest(withTimeout, first bool) string {
 	h := sha256.New()
 	ws := func(s string) {
 		var buf [8]byte
@@ -153,15 +188,9 @@ func (j Job) digest(withTimeout bool) string {
 	ws(string(j.Kind))
 	ws(string(j.Task))
 	ws(j.Query)
-	// The same normalization run applies before execution: zero bounds
-	// select the defaults, so Opts{} and DefaultSearch() coincide.
-	opts := j.Opts
-	if opts.MaxAtoms == 0 {
-		opts.MaxAtoms = fitting.DefaultSearch().MaxAtoms
-	}
-	if opts.MaxVars == 0 {
-		opts.MaxVars = fitting.DefaultSearch().MaxVars
-	}
+	// Zero bounds select the defaults, as at submission, so Opts{} and
+	// DefaultSearch() coincide.
+	opts := j.searchOpts()
 	wi(int64(opts.MaxAtoms))
 	wi(int64(opts.MaxVars))
 	if withTimeout {
@@ -177,6 +206,9 @@ func (j Job) digest(withTimeout bool) string {
 		for _, ex := range side {
 			ws(ex.Fingerprint())
 		}
+	}
+	if first {
+		wi(1)
 	}
 	return string(h.Sum(nil))
 }
@@ -207,8 +239,8 @@ type Result struct {
 	// durations, search counters and the slowest spans. Nil when
 	// tracing was off. Shared marks a report adopted from a
 	// deduplicated flight's leader; StoreHit marks a persistent-store
-	// answer (no solver phases); Partial marks a job that was canceled
-	// or abandoned mid-solve.
+	// answer (no solver phases). A run cut short by its deadline or by
+	// Close reports what it did up to the unwind.
 	Trace *obs.Report
 }
 

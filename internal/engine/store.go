@@ -2,41 +2,47 @@ package engine
 
 import (
 	"encoding/json"
+	"slices"
 
+	"extremalcq/internal/obs"
 	"extremalcq/internal/store"
 )
 
 // This file threads the persistent result store (internal/store)
-// through the engine: completed results are written behind
+// through the engine: completed flights are written behind
 // asynchronously keyed by job fingerprint, and lookups run before
 // single-flight dedup and the solvers, so a persisted hit bypasses
 // computation entirely — including across process restarts.
 
 // storedResultVersion versions the persisted encoding; records with a
-// different version are ignored (treated as misses) rather than
-// misdecoded.
-const storedResultVersion = 1
+// different version are ignored (counted as bad records and treated as
+// misses) rather than misdecoded.
+const storedResultVersion = 2
 
-// storedResult is the durable form of a successful Result. Submission
-// metadata (label, elapsed) and errors are deliberately absent: labels
-// are presentation-only, and failures are either per-submission fates
-// (deadlines, cancellation) that must not outlive the submission, or
-// cheap to rediscover.
+// storedResult is the durable form of a successful flight: its
+// terminal Result and the frames it emitted (replayed verbatim to a
+// warm stream). Frames is omitted when it equals Queries, as it does
+// for every task but the UCQ search (candidate frames, one union) and
+// a basis that did not verify; a stored empty list means no frames.
+// Submission metadata (label, elapsed) and errors are deliberately
+// absent: labels are presentation-only, and failures are either
+// per-submission fates (deadlines, cancellation) that must not outlive
+// the submission, or cheap to rediscover.
 type storedResult struct {
-	V       int      `json:"v"`
-	Found   bool     `json:"found"`
-	Queries []string `json:"queries,omitempty"`
-	Note    string   `json:"note,omitempty"`
+	V       int       `json:"v"`
+	Frames  *[]string `json:"frames,omitempty"`
+	Found   bool      `json:"found"`
+	Queries []string  `json:"queries,omitempty"`
+	Note    string    `json:"note,omitempty"`
 }
 
 // storeWriteQueueSize bounds the write-behind queue; a full queue drops
 // writes (counted) rather than stalling result delivery.
 const storeWriteQueueSize = 256
 
-// storeWrite is one record for the write-behind queue. The one-shot and
-// stream paths persist pre-encoded result records (val) under disjoint
-// keys; the memo-spill path persists hom/core/product records under
-// their own record kinds. Cores and products are already stored encoded
+// storeWrite is one record for the write-behind queue. Flight leaders
+// persist pre-encoded result records (val); the memo-spill path
+// persists hom/core/product records under their own record kinds. Cores and products are already stored encoded
 // in the memo, so they travel as val too; hom verdicts defer their
 // serialization to the writer goroutine (encode), keeping the encoding
 // cost off the solver hot path — and never paying it at all for writes
@@ -71,10 +77,10 @@ func (e *Engine) storeWriter() {
 // whether it was accepted; the caller owns drop accounting, so result
 // drops and discardable spill drops stay separate counters. Result
 // writes come from leaders, which Close awaits before fencing the
-// queue; memo-spill writes additionally come from solver goroutines
-// that cancellation may have abandoned mid-unwind, so the send is
-// guarded: after Close fences the queue (storeClosed under storeMu) a
-// late write is dropped instead of panicking on a closed channel.
+// queue; memo-spill writes can also come through the exported Memo
+// from goroutines Close does not await, so the send is guarded: after
+// Close fences the queue (storeClosed under storeMu) a late write is
+// dropped instead of panicking on a closed channel.
 func (e *Engine) enqueueStoreWrite(w storeWrite) bool {
 	e.storeMu.RLock()
 	defer e.storeMu.RUnlock()
@@ -89,54 +95,67 @@ func (e *Engine) enqueueStoreWrite(w storeWrite) bool {
 	}
 }
 
-// storePut enqueues a completed result for write-behind persistence,
-// keyed by the job's timeout-free storeKey. Only leaders call it
-// (followers adopted a result the leader already persisted), and only
-// with res.Err == nil: errors are never durable.
-func (e *Engine) storePut(j Job, res Result) {
+// storePut enqueues a flight's completed Result and its frames for
+// write-behind persistence, keyed by the job's timeout-free storeKey.
+// Only leaders call it (twins adopted a result the leader persists),
+// and only with res.Err == nil: errors are never durable.
+func (e *Engine) storePut(j Job, first bool, f *flight, res Result) {
 	if e.opts.Store == nil || res.Err != nil {
 		return
 	}
-	val, err := json.Marshal(storedResult{
-		V:       storedResultVersion,
-		Found:   res.Found,
-		Queries: res.Queries,
-		Note:    res.Note,
-	})
+	rec := storedResult{V: storedResultVersion, Found: res.Found, Queries: res.Queries, Note: res.Note}
+	f.mu.Lock()
+	if !slices.Equal(f.frames, res.Queries) {
+		frames := append([]string{}, f.frames...)
+		rec.Frames = &frames
+	}
+	f.mu.Unlock()
+	val, err := json.Marshal(rec)
 	if err != nil {
 		return
 	}
-	if !e.enqueueStoreWrite(storeWrite{kind: store.KindResult, key: j.storeKey(), val: val}) {
+	if !e.enqueueStoreWrite(storeWrite{kind: store.KindResult, key: j.storeKey(first), val: val}) {
 		e.storeDropped.Add(1)
 	}
 }
 
 // storeLookup consults the persistent store for a completed answer to
-// this job (keyed timeout-free, see Job.storeKey). A hit reconstructs
-// the Result (re-labeled for this submission) without any solver work;
-// undecodable or version-skewed records degrade to misses.
-func (e *Engine) storeLookup(j Job) (Result, bool) {
+// this job (keyed timeout-free, see Job.storeKey). A hit comes back as
+// a completed flight that no twin can join, holding the frames to
+// replay and the Result (labeled for this submission), without any
+// solver work; a miss, or an undecodable or version-skewed record, is
+// nil.
+func (e *Engine) storeLookup(j Job, first bool) *flight {
 	if e.opts.Store == nil {
-		return Result{}, false
+		return nil
 	}
-	val, ok := e.opts.Store.Get(j.storeKey())
+	val, ok := e.opts.Store.Get(j.storeKey(first))
 	if !ok {
-		return Result{}, false
+		return nil
 	}
 	var sr storedResult
 	if err := json.Unmarshal(val, &sr); err != nil || sr.V != storedResultVersion {
 		e.storeBadRecords.Add(1)
-		return Result{}, false
+		return nil
 	}
 	e.storeHits.Add(1)
-	return Result{
+	f := &flight{frames: sr.Queries, done: true, final: Result{
 		Label:   j.Label,
 		Kind:    j.Kind,
 		Task:    j.Task,
 		Found:   sr.Found,
 		Queries: sr.Queries,
 		Note:    sr.Note,
-	}, true
+	}}
+	if sr.Frames != nil {
+		f.frames = *sr.Frames
+	}
+	if j.Trace {
+		// No solver ran, so the report is empty save for the flag: zero
+		// phases is the trace of a warm hit.
+		f.final.Trace = &obs.Report{StoreHit: true}
+	}
+	return f
 }
 
 // StoreStats reports persistent-store activity as seen by this engine,

@@ -2,12 +2,7 @@ package engine
 
 import (
 	"context"
-	"encoding/json"
-	"sync"
 	"time"
-
-	"extremalcq/internal/obs"
-	"extremalcq/internal/store"
 )
 
 // This file adds the engine's streaming job mode: SubmitStream runs a
@@ -15,25 +10,26 @@ import (
 // on a channel as soon as it is found, instead of buffering the full
 // answer list behind a one-shot Result.
 //
-// Streams integrate with the engine's other machinery:
+// A stream is an ordinary job in the one pipeline (see engine.go): it
+// waits in the job queue, and the worker that dequeues it consults the
+// store and the flight table like any other job's.
 //
-//   - Single-flight dedup: identical streaming jobs share one
-//     enumeration. The first subscriber's flight runs the solver; later
-//     subscribers replay the already-emitted prefix from the flight and
-//     then tail the live enumeration. Streaming and one-shot jobs never
-//     coalesce with each other (the first answer of a search and its
-//     full answer list are different computations).
-//   - Cancellation: the enumeration runs under a context canceled when
-//     the last subscriber detaches, so a disconnected client (or all of
-//     them) stops the solver promptly instead of wasting the rest of
-//     the search on nobody.
-//   - Persistence: a stream that completes successfully stores its full
-//     frame list (keyed in a stream-specific keyspace); a warm re-run
-//     replays the answers from the store with zero solver launches.
+//   - Single-flight dedup: identical jobs share one flight, whether
+//     streamed or one-shot. A stream's subscriber goroutine replays the
+//     frames the flight already emitted and then tails it live. Only a
+//     one-shot weakly most-general CQ or tree search, which stops at its
+//     first answer, keeps a flight (and store record) of its own.
+//   - Cancellation: a flight runs until its last submitter detaches, so
+//     a disconnected client (or all of them) stops the solver promptly
+//     instead of wasting the rest of the search on nobody.
+//   - Persistence: a flight that completes successfully stores its
+//     frames next to its Result; a warm re-run replays the answers from
+//     the store with zero solver launches.
 //
-// Stream leaders run on dedicated goroutines rather than pool workers:
-// enumerations are long-lived by nature, and parking workers on them
-// would starve one-shot traffic.
+// A stream's leader holds its worker for the whole enumeration, as a
+// one-shot basis search does, so Options.Workers bounds every
+// concurrent solver and a full queue refuses streams (TrySubmitStream)
+// like any other job.
 
 // Answer is one enumerated result frame of a streaming job.
 type Answer struct {
@@ -86,77 +82,33 @@ func (s *Stream) finish(res Result) {
 	close(s.done)
 }
 
-// streamFlight is one in-flight streaming enumeration shared by all
-// identical streaming jobs: the leader goroutine appends each answer to
-// prefix and wakes subscribers; subscribers read the prefix at their own
-// pace and then wait on wake.
-type streamFlight struct {
-	mu     sync.Mutex
-	prefix []Answer
-	wake   chan struct{} // closed and replaced on every append; closed at completion
-	done   bool
-	final  Result
-	refs   int                // attached subscribers; 0 → cancel the enumeration
-	cancel context.CancelFunc // stops the leader's solver context
-}
-
 // SubmitStream submits a job in streaming mode and returns immediately
 // with a handle delivering each enumerated answer as it is verified.
 // Every kind × task combination is accepted: enumeration tasks
 // (weakly-most-general and basis searches) emit one frame per answer
 // found; single-answer tasks degrade to a stream of their result's
-// queries followed by the terminal summary.
+// queries followed by the terminal summary. Like Submit, it blocks
+// while the job queue is full.
 //
 // ctx governs this subscription only: canceling it detaches this
 // subscriber, and the shared enumeration is canceled when its last
-// subscriber detaches.
+// submitter detaches.
 func (e *Engine) SubmitStream(ctx context.Context, j Job) *Stream {
-	s, _ := e.submitStream(ctx, j, false)
+	s := newStream()
+	e.submit(ctx, &envelope{job: j, stream: s}, true)
 	return s
 }
 
-// TrySubmitStream is SubmitStream with admission control: when
-// Options.MaxStreams streams are already open it declines the job and
-// returns ok=false (and a nil Stream) instead of piling another solver
-// onto the host — the streaming analogue of TrySubmit's full-queue
-// refusal. Invalid jobs and dead contexts are still accepted and
-// resolve immediately through the returned Stream, as in SubmitStream.
+// TrySubmitStream is SubmitStream without blocking on a full queue:
+// like TrySubmit, it declines the job and returns ok=false (and a nil
+// Stream) when the job queue has no room. Invalid jobs and dead
+// contexts are still accepted and resolve immediately through the
+// returned Stream, as in SubmitStream.
 func (e *Engine) TrySubmitStream(ctx context.Context, j Job) (*Stream, bool) {
-	return e.submitStream(ctx, j, true)
-}
-
-func (e *Engine) submitStream(ctx context.Context, j Job, bounded bool) (*Stream, bool) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	s := newStream()
-	if err := j.Validate(); err != nil {
-		s.finish(failedResult(j, err))
-		return s, true
-	}
-	if err := ctx.Err(); err != nil {
-		s.finish(failedResult(j, err))
-		return s, true
-	}
-	j.Examples = cloneExamples(j.Examples)
-	e.closeMu.RLock()
-	if e.closed {
-		e.closeMu.RUnlock()
-		s.finish(failedResult(j, ErrClosed))
-		return s, true
-	}
-	if n := e.streamsActive.Add(1); bounded && n > int64(e.opts.MaxStreams) {
-		e.streamsActive.Add(-1)
-		e.closeMu.RUnlock()
+	if !e.submit(ctx, &envelope{job: j, stream: s}, false) {
 		return nil, false
 	}
-	// Register the subscriber goroutine with waiters under the read
-	// lock, like Submit registers with subWG: Close waits for it before
-	// flushing the store queue.
-	e.waiters.Add(1)
-	e.closeMu.RUnlock()
-	e.streamsStarted.Add(1)
-	go e.streamSubscriber(ctx, j, s)
 	return s, true
 }
 
@@ -177,287 +129,21 @@ func (e *Engine) DoStream(ctx context.Context, j Job, yield func(Answer) bool) R
 	return s.Wait()
 }
 
-// streamSubscriber resolves one streaming submission: store replay if
-// the stream completed in an earlier run, otherwise attach to (or lead)
-// the single-flight enumeration for this job.
-func (e *Engine) streamSubscriber(ctx context.Context, j Job, s *Stream) {
-	defer e.waiters.Done()
-	defer e.streamsActive.Add(-1)
-	start := time.Now()
-	first := true
-
-	deliver := func(a Answer) bool {
-		select {
-		case s.c <- a:
-			if first {
-				first = false
-				e.recordFirstResult(time.Since(start))
-			}
-			e.streamResults.Add(1)
-			return true
-		case <-ctx.Done():
-			return false
-		case <-e.done:
-			return false
+// send delivers one frame to a stream, unless its context ends or the
+// engine closes first.
+func (e *Engine) send(env *envelope, a Answer) bool {
+	select {
+	case env.stream.c <- a:
+		if a.Index == 0 {
+			e.recordFirstResult(time.Since(env.enqueued))
 		}
+		e.streamResults.Add(1)
+		return true
+	case <-env.ctx.Done():
+		return false
+	case <-e.done:
+		return false
 	}
-	// led reports whether this subscriber's attach registered the
-	// flight (making it the trace's owner rather than a sharer).
-	led := false
-	finish := func(res Result) {
-		res.Label, res.Kind, res.Task = j.Label, j.Kind, j.Task
-		res.Elapsed = time.Since(start)
-		// The flight's trace belongs to the leader; a traced follower
-		// gets a copy marked Shared, an untraced subscriber none.
-		if res.Trace != nil {
-			switch {
-			case !j.Trace:
-				res.Trace = nil
-			case !led:
-				t := res.Trace.Clone()
-				t.Shared = true
-				res.Trace = t
-			}
-		}
-		e.record(j, res)
-		s.finish(res)
-	}
-
-	// Persistent store first: a completed identical stream replays its
-	// full frame list from disk, with zero solver launches.
-	if frames, res, ok := e.streamStoreLookup(j); ok {
-		if j.Trace {
-			res.Trace = &obs.Report{StoreHit: true}
-		}
-		for _, a := range frames {
-			if !deliver(a) {
-				finish(failedResult(j, e.closeErr(ctx)))
-				return
-			}
-		}
-		finish(res)
-		return
-	}
-
-	key := j.streamFingerprint()
-	f, wasLeader := e.attachStream(key, j)
-	led = wasLeader
-	i := 0
-	for {
-		f.mu.Lock()
-		switch {
-		case i < len(f.prefix):
-			a := f.prefix[i]
-			f.mu.Unlock()
-			i++
-			if !deliver(a) {
-				e.detachStream(key, f)
-				finish(failedResult(j, e.closeErr(ctx)))
-				return
-			}
-		case f.done:
-			final := f.final
-			f.mu.Unlock()
-			e.detachStream(key, f)
-			// A canceled or timed-out flight is every subscriber's fate
-			// here, unlike one-shot flights: the flight's deadline is the
-			// job timeout all its subscribers share (the timeout is part of
-			// the stream key), and subscriber-side cancellation was already
-			// handled by deliver/the wait select.
-			finish(final)
-			return
-		default:
-			wake := f.wake
-			f.mu.Unlock()
-			select {
-			case <-wake:
-			case <-ctx.Done():
-				e.detachStream(key, f)
-				finish(failedResult(j, e.closeErr(ctx)))
-				return
-			case <-e.done:
-				e.detachStream(key, f)
-				finish(failedResult(j, ErrClosed))
-				return
-			}
-		}
-	}
-}
-
-// attachStream joins the live flight for key, or registers a new one and
-// starts its leader; led reports which happened. The caller holds a
-// waiters registration, which keeps the WaitGroup non-zero while the
-// leader registers itself.
-func (e *Engine) attachStream(key string, j Job) (f *streamFlight, led bool) {
-	e.streamMu.Lock()
-	defer e.streamMu.Unlock()
-	if f, ok := e.streams[key]; ok {
-		f.mu.Lock()
-		f.refs++
-		f.mu.Unlock()
-		e.dedupShared.Add(1)
-		return f, false
-	}
-	// The leader's context is rooted in the engine, not in any one
-	// subscriber: subscribers come and go, and the enumeration must
-	// outlive its initiator while anyone is still attached.
-	ctx, cancel := e.jobContext(context.Background(), j)
-	f = &streamFlight{wake: make(chan struct{}), refs: 1, cancel: cancel}
-	e.streams[key] = f
-	e.waiters.Add(1)
-	go e.leadStream(ctx, key, f, j)
-	return f, true
-}
-
-// detachStream drops one subscriber; the last one out cancels the
-// enumeration and retires the flight so a later identical submission
-// starts fresh instead of adopting a canceled carcass.
-func (e *Engine) detachStream(key string, f *streamFlight) {
-	e.streamMu.Lock()
-	f.mu.Lock()
-	f.refs--
-	last := f.refs == 0 && !f.done
-	f.mu.Unlock()
-	if last && e.streams[key] == f {
-		delete(e.streams, key)
-	}
-	e.streamMu.Unlock()
-	if last {
-		f.cancel()
-	}
-}
-
-// leadStream runs the shared enumeration: each emitted answer extends
-// the flight's prefix and wakes subscribers; completion publishes the
-// final Result and persists the stream.
-func (e *Engine) leadStream(ctx context.Context, key string, f *streamFlight, j Job) {
-	defer e.waiters.Done()
-	defer f.cancel()
-	e.dedupLeaders.Add(1)
-	res := e.runStreamSolver(ctx, j, func(q string) {
-		f.mu.Lock()
-		f.prefix = append(f.prefix, Answer{Index: len(f.prefix), Query: q})
-		close(f.wake)
-		f.wake = make(chan struct{})
-		f.mu.Unlock()
-	})
-	e.streamStorePut(j, f, res)
-	// Retire the flight and publish completion atomically with respect
-	// to attachStream, so a new subscriber either joins the live flight
-	// or misses it entirely and leads a fresh one.
-	e.streamMu.Lock()
-	if e.streams[key] == f {
-		delete(e.streams, key)
-	}
-	f.mu.Lock()
-	f.done = true
-	f.final = res
-	close(f.wake)
-	f.mu.Unlock()
-	e.streamMu.Unlock()
-}
-
-// runStreamSolver runs the streaming dispatch with the engine's memo
-// attached, under the same solver accounting as one-shot jobs. The
-// enumeration algorithms check ctx inside their loops, so cancellation
-// stops the stream between answers.
-func (e *Engine) runStreamSolver(ctx context.Context, j Job, emit func(string)) Result {
-	solveCtx := e.solverContext(ctx)
-	var rec *obs.Recorder
-	if j.Trace {
-		rec = obs.NewRecorder()
-		solveCtx = obs.WithRecorder(solveCtx, rec)
-	}
-	e.solvers.Add(1)
-	e.solverRuns.Add(1)
-	defer e.solvers.Add(-1)
-	res := func() Result {
-		sp := rec.StartSpan(obs.PhaseSolve)
-		defer sp.End()
-		return runStream(solveCtx, j, emit)
-	}()
-	res.Trace = e.finishTrace(rec)
-	return res
-}
-
-// ---------------------------------------------------------------------
-// Stream persistence
-// ---------------------------------------------------------------------
-
-// storedStreamVersion versions the persisted stream encoding; records
-// with a different version are ignored rather than misdecoded.
-const storedStreamVersion = 1
-
-// storedStream is the durable form of a completed stream: the emitted
-// frames (replayed verbatim on a warm hit) plus the terminal summary.
-// Frames and final queries are stored separately because they differ
-// for some tasks (a UCQ search streams candidate disjuncts but ends in
-// one union query).
-type storedStream struct {
-	V       int      `json:"v"`
-	Frames  []string `json:"frames,omitempty"`
-	Found   bool     `json:"found"`
-	Queries []string `json:"queries,omitempty"`
-	Note    string   `json:"note,omitempty"`
-}
-
-// streamStorePut persists a successfully completed stream, keyed in the
-// stream keyspace (see Job.streamStoreKey). Reuses the write-behind
-// queue; failures degrade to a dropped write, never a stalled stream.
-func (e *Engine) streamStorePut(j Job, f *streamFlight, res Result) {
-	if e.opts.Store == nil || res.Err != nil {
-		return
-	}
-	f.mu.Lock()
-	frames := make([]string, len(f.prefix))
-	for i, a := range f.prefix {
-		frames[i] = a.Query
-	}
-	f.mu.Unlock()
-	val, err := json.Marshal(storedStream{
-		V:       storedStreamVersion,
-		Frames:  frames,
-		Found:   res.Found,
-		Queries: res.Queries,
-		Note:    res.Note,
-	})
-	if err != nil {
-		return
-	}
-	if !e.enqueueStoreWrite(storeWrite{kind: store.KindResult, key: j.streamStoreKey(), val: val}) {
-		e.storeDropped.Add(1)
-	}
-}
-
-// streamStoreLookup consults the persistent store for a completed
-// identical stream; a hit returns the frames to replay and the terminal
-// summary. Undecodable or version-skewed records degrade to misses.
-func (e *Engine) streamStoreLookup(j Job) ([]Answer, Result, bool) {
-	if e.opts.Store == nil {
-		return nil, Result{}, false
-	}
-	val, ok := e.opts.Store.Get(j.streamStoreKey())
-	if !ok {
-		return nil, Result{}, false
-	}
-	var ss storedStream
-	if err := json.Unmarshal(val, &ss); err != nil || ss.V != storedStreamVersion {
-		e.storeBadRecords.Add(1)
-		return nil, Result{}, false
-	}
-	e.storeHits.Add(1)
-	frames := make([]Answer, len(ss.Frames))
-	for i, q := range ss.Frames {
-		frames[i] = Answer{Index: i, Query: q}
-	}
-	return frames, Result{
-		Label:   j.Label,
-		Kind:    j.Kind,
-		Task:    j.Task,
-		Found:   ss.Found,
-		Queries: ss.Queries,
-		Note:    ss.Note,
-	}, true
 }
 
 // recordFirstResult folds one stream's submit→first-answer latency into

@@ -274,11 +274,13 @@ func TestStreamWarmReplayFromStore(t *testing.T) {
 	}
 }
 
-// TestTrySubmitStreamBound checks stream admission control: past
-// MaxStreams open streams, TrySubmitStream declines instead of piling
-// on another solver; a slot freed by a finished stream is reusable.
+// TestTrySubmitStreamBound checks stream admission control: a stream
+// waits in the job queue like any job, so with the one worker leading a
+// stream and the one queue slot taken, TrySubmitStream declines instead
+// of piling on another solver; SubmitStream blocks like Submit; a slot
+// freed by finished streams is reusable.
 func TestTrySubmitStreamBound(t *testing.T) {
-	eng := New(Options{MaxStreams: 1})
+	eng := New(Options{Workers: 1, QueueSize: 1})
 	defer eng.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -287,20 +289,37 @@ func TestTrySubmitStreamBound(t *testing.T) {
 	if !ok {
 		t.Fatal("first stream must be admitted")
 	}
+	// Its first frame proves the one worker leads it.
 	if _, open := <-s.Answers(); !open {
 		t.Fatalf("stream ended early: %+v", s.Wait())
 	}
-	if _, ok := eng.TrySubmitStream(context.Background(), slowStreamJob(t)); ok {
-		t.Fatal("second stream admitted past MaxStreams=1")
+	queued, ok := eng.TrySubmitStream(ctx, slowStreamJob(t))
+	if !ok {
+		t.Fatal("a stream must be admitted to the free queue slot")
 	}
-	// SubmitStream stays unbounded (library callers manage their own
-	// concurrency).
-	unbounded := eng.SubmitStream(ctx, slowStreamJob(t))
+	if _, ok := eng.TrySubmitStream(context.Background(), slowStreamJob(t)); ok {
+		t.Fatal("stream admitted past a busy worker and a full queue")
+	}
+	// SubmitStream blocks like Submit: until the queue has room or its
+	// context ends.
+	job := slowStreamJob(t)
+	blockedCtx, unblock := context.WithCancel(context.Background())
+	blocked := make(chan *Stream, 1)
+	go func() { blocked <- eng.SubmitStream(blockedCtx, job) }()
+	select {
+	case <-blocked:
+		t.Fatal("SubmitStream returned while the queue was full")
+	case <-time.After(50 * time.Millisecond):
+	}
+	unblock()
+	if res := (<-blocked).Wait(); !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("blocked stream after its context ended: %+v", res)
+	}
 
 	cancel()
 	s.Wait()
-	unbounded.Wait()
-	// The slots are free again.
+	queued.Wait()
+	// The worker and the slot are free again.
 	s2, ok := eng.TrySubmitStream(context.Background(), buildSpec(t, wmgSpec("weakly-most-general")))
 	if !ok {
 		t.Fatal("freed slot must admit a new stream")

@@ -3,6 +3,7 @@ package genex
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"extremalcq/internal/instance"
@@ -22,6 +23,35 @@ import (
 // duplicates across classes are possible and harmless for search uses.
 func EnumerateInstances(sch *schema.Schema, maxFacts, maxVars int, yield func(*instance.Instance) bool) {
 	EnumerateInstancesCtx(context.Background(), sch, maxFacts, maxVars, yield)
+}
+
+// TableSize is the number of candidate facts EnumerateInstancesCtx
+// builds and sorts before it yields anything: Σ_r maxVars^arity(r), or
+// 0 when a bound is non-positive. It saturates at math.MaxInt instead
+// of overflowing, so callers can bound a request before paying for it.
+func TableSize(sch *schema.Schema, maxFacts, maxVars int) int {
+	if maxFacts <= 0 || maxVars <= 0 {
+		return 0
+	}
+	total := 0
+	for _, r := range sch.Relations() {
+		// One value gives one fact at any arity; two or more saturate
+		// within 63 factors, so a huge arity costs no time here.
+		n := 1
+		if maxVars > 1 {
+			for i := 0; i < r.Arity; i++ {
+				if n > math.MaxInt/maxVars {
+					return math.MaxInt
+				}
+				n *= maxVars
+			}
+		}
+		if total > math.MaxInt-n {
+			return math.MaxInt
+		}
+		total += n
+	}
+	return total
 }
 
 // EnumerateInstancesCtx is EnumerateInstances under a solver context.

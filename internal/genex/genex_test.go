@@ -1,11 +1,13 @@
 package genex
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"extremalcq/internal/hom"
 	"extremalcq/internal/instance"
+	"extremalcq/internal/schema"
 )
 
 func TestPrimes(t *testing.T) {
@@ -165,5 +167,44 @@ func TestEnumerateNonPositiveBounds(t *testing.T) {
 		if n != 0 {
 			t.Errorf("bounds %d/%d enumerated %d candidates, want none", b[0], b[1], n)
 		}
+	}
+}
+
+// TestTableSize: the candidate table EnumerateInstancesCtx builds holds
+// maxVars^arity facts per relation, none for a non-positive bound, and
+// a size past math.MaxInt saturates instead of wrapping around.
+func TestTableSize(t *testing.T) {
+	rpq := schema.MustNew(schema.Relation{Name: "R", Arity: 2}, schema.Relation{Name: "P", Arity: 1}, schema.Relation{Name: "Q", Arity: 1})
+	huge := schema.MustNew(schema.Relation{Name: "R", Arity: math.MaxInt})
+	for _, c := range []struct {
+		sch         *schema.Schema
+		facts, vars int
+		want        int
+	}{
+		{SchemaR(), 3, 4, 16},
+		{rpq, 6, 8, 80},
+		{SchemaR(), 1, 65536, 1 << 32},
+		{SchemaR(), 0, 8, 0},
+		{SchemaR(), 3, -1, 0},
+		{SchemaR(), 1, 1 << 40, math.MaxInt},
+		{rpq, 1, math.MaxInt, math.MaxInt},
+		{huge, 1, 1, 1},
+		{huge, 1, 2, math.MaxInt},
+	} {
+		if got := TableSize(c.sch, c.facts, c.vars); got != c.want {
+			t.Errorf("TableSize(%v, %d, %d) = %d, want %d", c.sch.Relations(), c.facts, c.vars, got, c.want)
+		}
+	}
+	// The table it sizes is the one the enumeration builds: every fact
+	// over two values appears in some candidate.
+	seen := map[string]bool{}
+	EnumerateInstances(SchemaR(), 4, 2, func(in *instance.Instance) bool {
+		for _, f := range in.Facts() {
+			seen[f.Key()] = true
+		}
+		return true
+	})
+	if want := TableSize(SchemaR(), 4, 2); len(seen) != want {
+		t.Errorf("candidates over 2 values use %d distinct facts, TableSize says %d", len(seen), want)
 	}
 }

@@ -4,8 +4,8 @@
 // between driver runs.
 //
 // Static analysis cannot distinguish instances of a struct, so the
-// canonical name identifies the *lock class*: every Engine's streamMu
-// is "engine.Engine.streamMu". That is the standard approximation for
+// canonical name identifies the *lock class*: every Engine's flightMu
+// is "engine.Engine.flightMu". That is the standard approximation for
 // lock-order analysis (two instances of one class locked in both
 // orders is itself a pattern worth flagging), and exactly what a
 // deadlock report needs to name.
