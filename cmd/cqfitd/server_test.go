@@ -295,6 +295,33 @@ func TestStreamUCQFinalFrameCarriesUnion(t *testing.T) {
 	}
 }
 
+// TestStreamDeadlineKeepsAnswers: a weakly most-general stream cut
+// short by its deadline after it sent answers ends with a terminal
+// frame that reports the deadline next to those answers, not
+// "found": false.
+func TestStreamDeadlineKeepsAnswers(t *testing.T) {
+	ts := newTestServer(t)
+
+	spec := wmgStreamSpec()
+	spec.MaxAtoms, spec.MaxVars, spec.TimeoutMS = 6, 8, 1000
+	resp := postJSON(t, ts.URL+"/v1/jobs/stream", spec)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(body), "\n"), "\n")
+	var final streamFinalFrame
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &final); err != nil {
+		t.Fatalf("terminal frame: %v (%q)", err, lines[len(lines)-1])
+	}
+	sent := len(lines) - 1
+	if sent == 0 || !final.Done || !final.Found || final.Results != sent || len(final.Queries) != sent ||
+		final.Error != context.DeadlineExceeded.Error() {
+		t.Errorf("%d answer frames, then terminal frame %+v; want found, the sent answers and the deadline", sent, final)
+	}
+}
+
 // TestStreamAdmissionControl: a stream waits in the job queue like any
 // job, so with the one worker leading a stream and the one queue slot
 // taken the streaming endpoint sheds load with 429 + Retry-After, the

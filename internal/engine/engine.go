@@ -614,13 +614,20 @@ func (e *Engine) lead(f *flight, j Job, first bool) {
 // subscribe resolves one submitter from its flight: a stream receives
 // every frame in order, then the terminal Result; a one-shot submitter
 // only the Result. A submitter whose context ends, or whose engine
-// closes, detaches at once with a failed Result while the flight runs
+// closes, detaches at once with a failed Result, which keeps the
+// answers it was already sent (see keepAnswers), while the flight runs
 // on for its twins.
 func (e *Engine) subscribe(env *envelope, f *flight, led bool, start time.Time) {
 	defer e.waiters.Done()
-	fail := func() {
+	fail := func(sent int) {
 		e.detach(f)
-		e.finish(env, start, failedResult(env.job, e.closeErr(env.ctx)))
+		res := failedResult(env.job, e.closeErr(env.ctx))
+		if sent > 0 {
+			f.mu.Lock()
+			keepAnswers(&res, env.job, env.first, f.frames[:sent:sent])
+			f.mu.Unlock()
+		}
+		e.finish(env, start, res)
 	}
 	for i := 0; ; {
 		f.mu.Lock()
@@ -629,7 +636,7 @@ func (e *Engine) subscribe(env *envelope, f *flight, led bool, start time.Time) 
 			q := f.frames[i]
 			f.mu.Unlock()
 			if !e.send(env, Answer{Index: i, Query: q}) {
-				fail()
+				fail(i)
 				return
 			}
 			i++
@@ -643,10 +650,10 @@ func (e *Engine) subscribe(env *envelope, f *flight, led bool, start time.Time) 
 			select {
 			case <-wake:
 			case <-env.ctx.Done():
-				fail()
+				fail(i)
 				return
 			case <-e.done:
-				fail()
+				fail(i)
 				return
 			}
 		}
@@ -688,7 +695,8 @@ func (e *Engine) jobContext(j Job) (context.Context, context.CancelFunc) {
 // engine's memo and caches attached to the solver context, passing each
 // frame to emit. The algorithms check ctx inside their search loops, so
 // a cancellation unwinds the run within a few search steps, into a
-// failed Result.
+// failed Result that keeps only the answers already emitted (see
+// dispatch).
 //
 // For traced jobs a fresh recorder rides the solver context and the
 // root solve span covers the dispatch, so its duration is pure solver
@@ -710,7 +718,7 @@ func (e *Engine) runSolver(ctx context.Context, j Job, first bool, emit func(str
 		return dispatch(solveCtx, j, first, emit)
 	}()
 	if err != nil {
-		res = failedResult(j, e.closeErr(ctx))
+		res.Err = e.closeErr(ctx)
 	}
 	res.Trace = e.finishTrace(rec)
 	return res

@@ -26,29 +26,43 @@ const maxTreeExpand = 100000
 // search at its first answer (see Job.firstOnly).
 //
 // err is non-nil only for a cancellation unwinding out of the solvers
-// (ordinary failures travel inside res.Err); the caller then discards
-// whatever fields the dispatch had already filled in (a Found flag
-// without its rendered queries, say) rather than deliver them half-set
-// next to the error.
-func dispatch(ctx context.Context, j Job, first bool, emit func(string)) (res Result, err error) {
-	defer solve.Catch(&err)
-	res = Result{Label: j.Label, Kind: j.Kind, Task: j.Task}
+// (ordinary failures travel inside res.Err). res then holds only what
+// may stand next to that error: the answers a weakly most-general
+// search had already verified and emitted (see enumerate), and
+// otherwise nothing — fields a task had filled in before the unwind (a
+// Found flag without its rendered queries, say) are dropped rather than
+// delivered half-set.
+func dispatch(ctx context.Context, j Job, first bool, emit func(string)) (Result, error) {
+	res := Result{Label: j.Label, Kind: j.Kind, Task: j.Task}
 	if j.Task == TaskWeaklyMostGeneral || j.Task == TaskBasis {
-		enumerate(ctx, j, first, &res, emit)
-		return res, nil
+		err := enumerate(ctx, j, first, &res, emit)
+		return res, err
 	}
-	switch j.Kind {
-	case KindCQ:
-		runCQ(ctx, j, &res)
-	case KindUCQ:
-		runUCQ(ctx, j, &res)
-	case KindTree:
-		runTree(ctx, j, &res)
+	err := unwind(func() {
+		switch j.Kind {
+		case KindCQ:
+			runCQ(ctx, j, &res)
+		case KindUCQ:
+			runUCQ(ctx, j, &res)
+		case KindTree:
+			runTree(ctx, j, &res)
+		}
+	})
+	if err != nil {
+		return failedResult(j, err), err
 	}
 	for _, q := range res.Queries {
 		emit(q)
 	}
 	return res, nil
+}
+
+// unwind runs f and returns the error of a cancellation that unwound
+// it (see package solve), or nil when f returned.
+func unwind(f func()) (err error) {
+	defer solve.Catch(&err)
+	f()
+	return nil
 }
 
 func runCQ(ctx context.Context, j Job, res *Result) {
@@ -149,8 +163,10 @@ func fill(res *Result, found bool, err error) bool {
 // answer is a frame as soon as the search verifies it (for UCQs, each
 // candidate disjunct), and the Result carries the task's answer list —
 // for UCQs the verified union, for a basis the answers only once they
-// verify as one.
-func enumerate(ctx context.Context, j Job, first bool, res *Result, emit func(string)) {
+// verify as one. It returns the error of a cancellation that unwound
+// the search; res is then shaped as for any error that cut the search
+// short.
+func enumerate(ctx context.Context, j Job, first bool, res *Result, emit func(string)) (canceled error) {
 	var all []*cq.CQ
 	var frames []string
 	yield := func(q *cq.CQ) bool {
@@ -164,45 +180,61 @@ func enumerate(ctx context.Context, j Job, first bool, res *Result, emit func(st
 	var verifyBasis func(context.Context, []*cq.CQ, fitting.Examples) (bool, error)
 	switch j.Kind {
 	case KindCQ:
-		err = fitting.ForEachWeaklyMostGeneralCtx(ctx, j.Examples, j.Opts, yield)
+		canceled = unwind(func() { err = fitting.ForEachWeaklyMostGeneralCtx(ctx, j.Examples, j.Opts, yield) })
 		verifyBasis = fitting.VerifyBasisCtx
 	case KindTree:
-		err = tree.ForEachWeaklyMostGeneralCtx(ctx, j.Examples, j.Opts, yield)
+		canceled = unwind(func() { err = tree.ForEachWeaklyMostGeneralCtx(ctx, j.Examples, j.Opts, yield) })
 		verifyBasis = tree.VerifyBasisCtx
 	case KindUCQ:
-		if err := ucqfit.ForEachMostGeneralCandidateCtx(ctx, j.Examples, j.Opts, yield); err != nil {
-			res.Err = err
-			return
-		}
-		if len(all) > 0 {
-			u, ok, err := ucqfit.CombineMostGeneralCtx(ctx, j.Examples, all)
-			if fill(res, ok, err) {
-				res.Queries = []string{u.String()}
+		// The frames are candidates, not answers: a search cut short by
+		// an error or a cancellation reports none.
+		return unwind(func() {
+			if err := ucqfit.ForEachMostGeneralCandidateCtx(ctx, j.Examples, j.Opts, yield); err != nil {
+				res.Err = err
+				return
 			}
-		}
-		return
+			if len(all) > 0 {
+				u, ok, err := ucqfit.CombineMostGeneralCtx(ctx, j.Examples, all)
+				if fill(res, ok, err) {
+					res.Queries = []string{u.String()}
+				}
+			}
+		})
+	}
+	if canceled != nil {
+		err = canceled
 	}
 	switch {
 	case err != nil:
-		// The frames are verified answers even when the search ended in
-		// an error (e.g. the unsupported product candidate), so a weakly
-		// most-general Result keeps them next to the error, unless it
-		// stopped at its first answer: that one reports none. A basis
-		// cannot be verified from an incomplete candidate set, so it
-		// stays not-found.
+		// An error (e.g. the unsupported product candidate) or a
+		// cancellation ends the search, not its verified answers.
 		res.Err = err
-		if j.Task == TaskWeaklyMostGeneral {
-			res.Found = len(frames) > 0
-			if !first {
-				res.Queries = frames
-			}
-		}
+		keepAnswers(res, j, first, frames)
 	case j.Task == TaskWeaklyMostGeneral:
 		res.Found, res.Queries = len(frames) > 0, frames
 	case len(all) > 0:
-		ok, err := verifyBasis(ctx, all, j.Examples)
-		if fill(res, ok, err) {
-			res.Queries = frames
-		}
+		canceled = unwind(func() {
+			ok, err := verifyBasis(ctx, all, j.Examples)
+			if fill(res, ok, err) {
+				res.Queries = frames
+			}
+		})
+	}
+	return canceled
+}
+
+// keepAnswers shapes the Result of a search that ended early, in an
+// error or a cancellation, after verifying the answers in frames: a
+// weakly most-general Result keeps them next to the error, unless it
+// stopped at its first answer: that one reports none. A basis cannot be
+// verified from an incomplete candidate set, and UCQ frames are
+// candidate disjuncts, not answers, so both stay not-found.
+func keepAnswers(res *Result, j Job, first bool, frames []string) {
+	if j.Task != TaskWeaklyMostGeneral || j.Kind == KindUCQ {
+		return
+	}
+	res.Found = len(frames) > 0
+	if !first {
+		res.Queries = frames
 	}
 }

@@ -2,7 +2,7 @@ package engine
 
 import (
 	"context"
-	"hash/fnv"
+	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -22,23 +22,27 @@ const DefaultCacheSize = 4096
 const maxMemoShards = 256
 
 // Memo is a thread-safe memoization cache for the hot paths of the
-// fitting algorithms: homomorphism searches, cores and direct products,
-// keyed by the canonical fingerprints of the operand pointed instances.
-// It implements hom.Cache and instance.ProductCache, so a single Memo
-// can be attached to a solver context for both roles (hom.WithCache and
+// fitting algorithms: homomorphism verdicts, cores and direct products,
+// keyed by the canonical digests of the operand pointed instances. It
+// implements hom.Cache and instance.ProductCache, so a single Memo can
+// be attached to a solver context for both roles (hom.WithCache and
 // instance.WithProductCache); each engine owns one Memo and attaches it
 // only to its own jobs' contexts.
+//
+// Keys are fixed-size arrays: a core is keyed by its instance's
+// instance.Digest, a hom check or product by the two operands' digests
+// side by side (instance.PairDigest). A lookup allocates nothing, and
+// the hom class, which keeps only the verdict, holds no pointer for the
+// garbage collector to scan.
 //
 // The cache is lock-striped: entries are spread across power-of-two
 // many shards (sized to GOMAXPROCS by default), each with its own
 // mutex, so concurrent workers hitting different keys do not serialize
-// on one lock. Keys are SHA-256 fingerprints, so their leading bytes
-// already distribute uniformly across shards.
+// on one lock.
 //
-// Assignments are deep-copied on both Put and Get, and cores and
-// products are stored in their EncodeBinary form (the bytes memo spill
-// persists) and decoded afresh on every Get: the cache never shares
-// mutable state with its callers, which keeps concurrent workers
+// Cores and products are stored in their EncodeBinary form (the bytes
+// memo spill persists) and decoded afresh on every Get: the cache never
+// shares mutable state with its callers, which keeps concurrent workers
 // race-free even though Instance builds its lookup indexes lazily. The
 // encoded form is also several times smaller than a deep copy, which
 // keeps the count-bounded core and product classes small in memory.
@@ -68,14 +72,9 @@ type Memo struct {
 // guards. Core and product values are EncodeBinary bytes.
 type memoShard struct {
 	mu   sync.Mutex
-	hom  map[string]homEntry
-	core map[string][]byte
-	prod map[string][]byte
-}
-
-type homEntry struct {
-	h      hom.Assignment
-	exists bool
+	hom  map[instance.PairDigest]bool
+	core map[instance.Digest][]byte
+	prod map[instance.PairDigest][]byte
 }
 
 // NewMemo returns a Memo bounding each class (hom, core, product) to
@@ -110,31 +109,22 @@ func NewMemoShards(maxEntries, shards int) *Memo {
 	}
 	for i := range m.shards {
 		m.shards[i] = memoShard{
-			hom:  make(map[string]homEntry),
-			core: make(map[string][]byte),
-			prod: make(map[string][]byte),
+			hom:  make(map[instance.PairDigest]bool),
+			core: make(map[instance.Digest][]byte),
+			prod: make(map[instance.PairDigest][]byte),
 		}
 	}
 	return m
 }
 
-// shard picks the stripe for a key. Keys are SHA-256 digests or
-// concatenations of two of them (pairKey), so both the leading and the
-// trailing four bytes are uniformly distributed — and mixing both ends
-// matters: a pair key's head depends only on the *first* operand, so a
-// head-only hash would collapse the one-to-many hom-check pattern
-// (one product instance checked against many candidates) onto a single
-// stripe. Short keys fall back to FNV.
-func (m *Memo) shard(key string) *memoShard {
-	var h uint32
-	if n := len(key); n >= 8 {
-		h = uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24
-		h ^= uint32(key[n-4]) | uint32(key[n-3])<<8 | uint32(key[n-2])<<16 | uint32(key[n-1])<<24
-	} else {
-		f := fnv.New32a()
-		f.Write([]byte(key))
-		h = f.Sum32()
-	}
+// shard picks the stripe for a key's bytes. Keys are SHA-256 digests or
+// two of them side by side, so both the leading and the trailing four
+// bytes are uniformly distributed — and mixing both ends matters: a
+// pair key's head depends only on the *first* operand, so a head-only
+// hash would collapse the one-to-many hom-check pattern (one product
+// instance checked against many candidates) onto a single stripe.
+func (m *Memo) shard(key []byte) *memoShard {
+	h := binary.LittleEndian.Uint32(key) ^ binary.LittleEndian.Uint32(key[len(key)-4:])
 	return &m.shards[h&m.mask]
 }
 
@@ -174,96 +164,82 @@ func (m *Memo) Stats() CacheStats {
 	}
 }
 
-func pairKey(a, b instance.Pointed) string {
-	return a.Fingerprint() + b.Fingerprint()
-}
-
 // GetHom implements hom.Cache. A memory miss with spill enabled faults
 // the persisted verdict in (installing it for later lookups) before
 // conceding the miss. Hits, misses and fault-ins are also attributed to
 // the trace recorder of the querying job's context, if any.
-func (m *Memo) GetHom(ctx context.Context, from, to instance.Pointed) (hom.Assignment, bool, bool) {
+func (m *Memo) GetHom(ctx context.Context, k instance.PairDigest) (exists, ok bool) {
 	rec := obs.FromContext(ctx)
-	k := pairKey(from, to)
-	sh := m.shard(k)
+	sh := m.shard(k[:])
 	sh.mu.Lock()
-	e, ok := sh.hom[k]
+	exists, ok = sh.hom[k]
 	sh.mu.Unlock()
 	if !ok && m.spill != nil {
-		if h, exists, faulted := m.spill.loadHom(k); faulted {
-			e = installFaulted(m, sh, sh.hom, k, homEntry{h: h, exists: exists}, store.KindHom, rec)
+		var faulted bool
+		if exists, faulted = m.spill.loadHom(k[:]); faulted {
+			exists = installFaulted(m, sh, sh.hom, k, exists, store.KindHom, rec)
 			ok = true
 		}
 	}
 	if !ok {
 		m.homMisses.Add(1)
 		rec.Add(obs.CtrMemoHomMisses, 1)
-		return nil, false, false
+		return false, false
 	}
 	m.homHits.Add(1)
 	rec.Add(obs.CtrMemoHomHits, 1)
-	return copyAssignment(e.h), e.exists, true
+	return exists, true
 }
 
 // PutHom implements hom.Cache.
-func (m *Memo) PutHom(ctx context.Context, from, to instance.Pointed, h hom.Assignment, exists bool) {
-	k := pairKey(from, to)
-	e := homEntry{h: copyAssignment(h), exists: exists}
-	sh := m.shard(k)
+func (m *Memo) PutHom(ctx context.Context, k instance.PairDigest, exists bool) {
+	sh := m.shard(k[:])
 	sh.mu.Lock()
 	evictIfFull(sh.hom, k, m.perShard)
-	sh.hom[k] = e
+	sh.hom[k] = exists
 	sh.mu.Unlock()
 	if m.spill != nil {
-		// The entry's own deep copy is immutable from here on, so the
-		// encoding races nothing.
-		m.spill.saveHom(k, e.h, exists)
+		m.spill.save(store.KindHom, k[:], hom.EncodeMemoEntry(exists))
 	}
 }
 
 // GetCore implements hom.Cache; misses fault in like GetHom.
-func (m *Memo) GetCore(ctx context.Context, p instance.Pointed) (instance.Pointed, bool) {
-	return m.getPointed(ctx, p.Fingerprint(), store.KindCore)
+func (m *Memo) GetCore(ctx context.Context, k instance.Digest) (instance.Pointed, bool) {
+	sh := m.shard(k[:])
+	return getPointed(ctx, m, sh, sh.core, k, k[:], store.KindCore)
 }
 
 // PutCore implements hom.Cache.
-func (m *Memo) PutCore(ctx context.Context, p, core instance.Pointed) {
-	m.putPointed(p.Fingerprint(), store.KindCore, core)
+func (m *Memo) PutCore(ctx context.Context, k instance.Digest, core instance.Pointed) {
+	sh := m.shard(k[:])
+	putPointed(m, sh, sh.core, k, k[:], store.KindCore, core)
 }
 
 // GetProduct implements instance.ProductCache; misses fault in like
 // GetHom.
-func (m *Memo) GetProduct(ctx context.Context, a, b instance.Pointed) (instance.Pointed, bool) {
-	return m.getPointed(ctx, pairKey(a, b), store.KindProduct)
+func (m *Memo) GetProduct(ctx context.Context, k instance.PairDigest) (instance.Pointed, bool) {
+	sh := m.shard(k[:])
+	return getPointed(ctx, m, sh, sh.prod, k, k[:], store.KindProduct)
 }
 
 // PutProduct implements instance.ProductCache.
-func (m *Memo) PutProduct(ctx context.Context, a, b, prod instance.Pointed) {
-	m.putPointed(pairKey(a, b), store.KindProduct, prod)
+func (m *Memo) PutProduct(ctx context.Context, k instance.PairDigest, prod instance.Pointed) {
+	sh := m.shard(k[:])
+	putPointed(m, sh, sh.prod, k, k[:], store.KindProduct, prod)
 }
 
-// class returns the shard map of the encoded class kind (store.KindCore
-// or store.KindProduct). The maps are made once in NewMemoShards and
-// never replaced, so reading the field needs no lock.
-func (sh *memoShard) class(kind byte) map[string][]byte {
-	if kind == store.KindCore {
-		return sh.core
-	}
-	return sh.prod
-}
-
-// getPointed looks up an encoded core or product and decodes a fresh
-// instance for the caller. Misses fault in like GetHom; a fault-in
-// serves the instance loadPointed decoded, so the record is decoded
-// once. Hits and misses count per class.
-func (m *Memo) getPointed(ctx context.Context, k string, kind byte) (instance.Pointed, bool) {
+// getPointed looks up an encoded core or product (kind store.KindCore
+// or store.KindProduct) in its class map mp of shard sh, and decodes a
+// fresh instance for the caller; raw is the key's bytes, the store key
+// a fault-in probes. Misses fault in like GetHom; a fault-in serves the
+// instance loadPointed decoded, so the record is decoded once. Hits and
+// misses count per class.
+func getPointed[K comparable](ctx context.Context, m *Memo, sh *memoShard, mp map[K][]byte, k K, raw []byte, kind byte) (instance.Pointed, bool) {
 	rec := obs.FromContext(ctx)
 	hits, misses, ctrHit, ctrMiss := &m.coreHits, &m.coreMisses, obs.CtrMemoCoreHits, obs.CtrMemoCoreMisses
 	if kind == store.KindProduct {
 		hits, misses, ctrHit, ctrMiss = &m.prodHits, &m.prodMisses, obs.CtrMemoProductHits, obs.CtrMemoProductMisses
 	}
-	sh := m.shard(k)
-	mp := sh.class(kind)
 	sh.mu.Lock()
 	enc, ok := mp[k]
 	sh.mu.Unlock()
@@ -272,11 +248,10 @@ func (m *Memo) getPointed(ctx context.Context, k string, kind byte) (instance.Po
 	case ok:
 		p = decodeStored(enc)
 	case m.spill != nil:
-		var raw []byte
-		if p, raw, ok = m.spill.loadPointed(kind, k); ok {
+		if p, enc, ok = m.spill.loadPointed(kind, raw); ok {
 			// A concurrent install may win; its value is as valid for k
 			// as the record decoded here.
-			installFaulted(m, sh, mp, k, raw, kind, rec)
+			installFaulted(m, sh, mp, k, enc, kind, rec)
 		}
 	}
 	if !ok {
@@ -300,18 +275,16 @@ func decodeStored(enc []byte) instance.Pointed {
 	return p
 }
 
-// putPointed stores the encoding of a core or product, and spills the
-// same bytes when spill is on.
-func (m *Memo) putPointed(k string, kind byte, p instance.Pointed) {
+// putPointed stores the encoding of a core or product in its class map
+// mp of shard sh, and spills the same bytes under raw when spill is on.
+func putPointed[K comparable](m *Memo, sh *memoShard, mp map[K][]byte, k K, raw []byte, kind byte, p instance.Pointed) {
 	enc := p.EncodeBinary()
-	sh := m.shard(k)
-	mp := sh.class(kind)
 	sh.mu.Lock()
 	evictIfFull(mp, k, m.perShard)
 	mp[k] = enc
 	sh.mu.Unlock()
 	if m.spill != nil {
-		m.spill.savePointed(kind, k, enc)
+		m.spill.save(kind, raw, enc)
 	}
 }
 
@@ -322,7 +295,7 @@ func (m *Memo) putPointed(k string, kind byte, p instance.Pointed) {
 // winning entry (existing or just installed) is returned for the
 // caller to serve. The install is also attributed to rec (the querying
 // job's trace recorder), per memo class.
-func installFaulted[V any](m *Memo, sh *memoShard, mp map[string]V, k string, dec V, kind byte, rec *obs.Recorder) V {
+func installFaulted[K comparable, V any](m *Memo, sh *memoShard, mp map[K]V, k K, dec V, kind byte, rec *obs.Recorder) V {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if cur, present := mp[k]; present {
@@ -350,7 +323,7 @@ func faultCounter(kind byte) obs.Counter {
 // evictIfFull removes one arbitrary entry when the map has reached the
 // bound and key is not already present (overwrites need no capacity);
 // map iteration order makes the choice pseudorandom.
-func evictIfFull[V any](mp map[string]V, key string, max int) {
+func evictIfFull[K comparable, V any](mp map[K]V, key K, max int) {
 	if len(mp) < max {
 		return
 	}
@@ -361,15 +334,4 @@ func evictIfFull[V any](mp map[string]V, key string, max int) {
 		delete(mp, k)
 		return
 	}
-}
-
-func copyAssignment(h hom.Assignment) hom.Assignment {
-	if h == nil {
-		return nil
-	}
-	out := make(hom.Assignment, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
 }

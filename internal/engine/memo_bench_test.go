@@ -48,22 +48,23 @@ func BenchmarkMemoParallel(b *testing.B) {
 			// Pre-populate so the steady state is hit-dominated.
 			for i := range ps {
 				for j := range ps {
-					m.PutHom(context.Background(), ps[i], ps[j], nil, true)
+					m.PutHom(context.Background(), instance.DigestPair(ps[i], ps[j]), true)
 				}
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				i := 0
 				for pb.Next() {
 					from := ps[i%nInstances]
-					to := ps[(i*7+3)%nInstances]
-					if _, _, ok := m.GetHom(context.Background(), from, to); !ok {
-						m.PutHom(context.Background(), from, to, nil, true)
+					k := instance.DigestPair(from, ps[(i*7+3)%nInstances])
+					if _, ok := m.GetHom(context.Background(), k); !ok {
+						m.PutHom(context.Background(), k, true)
 					}
-					// A slice of product-cache traffic keeps the
-					// benchmark honest about multi-class striping.
+					// A slice of core-class traffic keeps the benchmark
+					// honest about multi-class striping.
 					if i%8 == 0 {
-						m.GetCore(context.Background(), from)
+						m.GetCore(context.Background(), from.Digest())
 					}
 					i++
 				}

@@ -11,22 +11,24 @@ import (
 // This file threads memo spill through the engine: with
 // Options.MemoSpill, entries of the per-engine memo (hom-check
 // verdicts, cores, direct products) are written behind to the
-// persistent store as typed records keyed by canonical instance
-// fingerprints, and memo misses fault the persisted entry back in
-// before any solver work runs. Where the result store only warm-serves
-// exact job repeats, memo spill accelerates *novel* jobs after a
-// restart: a job that shares sub-computations with anything solved
-// before skips exactly those hom/core/product computations.
+// persistent store as typed records keyed by the memo's own keys (the
+// canonical instance digests), and memo misses fault the persisted
+// entry back in before any solver work runs. Where the result store
+// only warm-serves exact job repeats, memo spill accelerates *novel*
+// jobs after a restart: a job that shares sub-computations with
+// anything solved before skips exactly those hom/core/product
+// computations.
 //
 // Spilled entries share the store's segment log with results, so one
 // byte budget bounds everything and whole-segment FIFO eviction plus
 // compaction apply uniformly. Fault-in is lazy: nothing is preloaded at
 // open, each disk hit installs into the in-memory memo (without
 // re-spilling), and undecodable or version-skewed records degrade to
-// ordinary misses.
+// ordinary misses. Hom records hold the verdict alone; records of the
+// same format that also carry a witness still decode, to their verdict.
 
 // spillSink connects a Memo to the persistent store: loads fault
-// entries in on a memo miss, saves encode and enqueue entries on the
+// entries in on a memo miss, saves enqueue encoded entries on the
 // engine's write-behind queue. All methods are safe for concurrent use.
 type spillSink struct {
 	store *store.Store
@@ -79,23 +81,25 @@ func (s *spillSink) stats() SpillStats {
 }
 
 // loadHom faults a persisted hom-check verdict in; ok=false is an
-// ordinary miss (absent, undecodable, or version-skewed record). Fault
-// probes use Probe, not GetKind: every in-memory memo miss lands here,
-// and counting those probes as store misses would drown the result
-// store's hit rate. The faulted counter is the installer's to bump
-// (Memo.GetHom): concurrent misses on one key may each load the record,
-// but only the goroutine that installs it counts a fault.
-func (s *spillSink) loadHom(key string) (hom.Assignment, bool, bool) {
-	val, ok := s.store.Probe(store.KindHom, key)
+// ordinary miss (absent, undecodable, or version-skewed record). A
+// record that carries a witness (written before the memo kept verdicts
+// only) decodes to its verdict. Fault probes use Probe, not GetKind:
+// every in-memory memo miss lands here, and counting those probes as
+// store misses would drown the result store's hit rate. The faulted
+// counter is the installer's to bump (Memo.GetHom): concurrent misses
+// on one key may each load the record, but only the goroutine that
+// installs it counts a fault.
+func (s *spillSink) loadHom(key []byte) (exists, ok bool) {
+	val, ok := s.store.Probe(store.KindHom, string(key))
 	if !ok {
-		return nil, false, false
+		return false, false
 	}
-	h, exists, err := hom.DecodeMemoEntry(val)
+	exists, err := hom.DecodeMemoEntry(val)
 	if err != nil {
 		s.badRecords.Add(1)
-		return nil, false, false
+		return false, false
 	}
-	return h, exists, true
+	return exists, true
 }
 
 // loadPointed faults a persisted core (kind store.KindCore) or product
@@ -103,8 +107,8 @@ func (s *spillSink) loadHom(key string) (hom.Assignment, bool, bool) {
 // caller to serve and the record's bytes, the form the memo stores.
 // Like loadHom it probes and decodes without counting — the installer
 // counts.
-func (s *spillSink) loadPointed(kind byte, key string) (instance.Pointed, []byte, bool) {
-	val, ok := s.store.Probe(kind, key)
+func (s *spillSink) loadPointed(kind byte, key []byte) (instance.Pointed, []byte, bool) {
+	val, ok := s.store.Probe(kind, string(key))
 	if !ok {
 		return instance.Pointed{}, nil, false
 	}
@@ -128,25 +132,11 @@ func (s *spillSink) countFault(kind byte) {
 	}
 }
 
-// saveHom enqueues a hom-check verdict for persistence. The assignment
-// is the memo's own deep copy, which is immutable once stored, so the
-// deferred encoding in the writer goroutine races nothing.
-func (s *spillSink) saveHom(key string, h hom.Assignment, exists bool) {
-	w := storeWrite{kind: store.KindHom, key: key, encode: func() []byte {
-		return hom.EncodeMemoEntry(h, exists)
-	}}
-	if s.enqueue(w) {
-		s.spilled.Add(1)
-	} else {
-		s.dropped.Add(1)
-	}
-}
-
-// savePointed enqueues an encoded core or product for persistence; enc
-// is the memo's own stored bytes, which nothing mutates.
-func (s *spillSink) savePointed(kind byte, key string, enc []byte) {
-	w := storeWrite{kind: kind, key: key, val: enc}
-	if s.enqueue(w) {
+// save enqueues an encoded memo entry for persistence under the key's
+// bytes; val is a hom verdict record, or a core's or product's stored
+// bytes, which nothing mutates.
+func (s *spillSink) save(kind byte, key, val []byte) {
+	if s.enqueue(storeWrite{kind: kind, key: string(key), val: val}) {
 		s.spilled.Add(1)
 	} else {
 		s.dropped.Add(1)

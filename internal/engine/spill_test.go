@@ -180,16 +180,16 @@ func TestMemoSpillConcurrentCloseReopenStress(t *testing.T) {
 					default:
 					}
 					i, j := (g+n)%len(ps), (g+2*n+1)%len(ps)
-					m.PutHom(context.Background(), ps[i], ps[j], nil, wantExists(i, j))
-					if _, exists, ok := m.GetHom(context.Background(), ps[i], ps[j]); ok && exists != wantExists(i, j) {
+					m.PutHom(context.Background(), instance.DigestPair(ps[i], ps[j]), wantExists(i, j))
+					if exists, ok := m.GetHom(context.Background(), instance.DigestPair(ps[i], ps[j])); ok && exists != wantExists(i, j) {
 						t.Errorf("hom (%d,%d): exists=%v, want %v", i, j, exists, wantExists(i, j))
 					}
-					m.PutCore(context.Background(), ps[i], ps[i])
-					if c, ok := m.GetCore(context.Background(), ps[i]); ok && !c.Equal(ps[i]) {
+					m.PutCore(context.Background(), ps[i].Digest(), ps[i])
+					if c, ok := m.GetCore(context.Background(), ps[i].Digest()); ok && !c.Equal(ps[i]) {
 						t.Errorf("core %d corrupted: %v", i, c)
 					}
-					m.PutProduct(context.Background(), ps[i], ps[j], ps[i])
-					if p, ok := m.GetProduct(context.Background(), ps[i], ps[j]); ok && !p.Equal(ps[i]) {
+					m.PutProduct(context.Background(), instance.DigestPair(ps[i], ps[j]), ps[i])
+					if p, ok := m.GetProduct(context.Background(), instance.DigestPair(ps[i], ps[j])); ok && !p.Equal(ps[i]) {
 						t.Errorf("product (%d,%d) corrupted: %v", i, j, p)
 					}
 				}
@@ -218,8 +218,8 @@ func TestMemoSpillConcurrentCloseReopenStress(t *testing.T) {
 	eng := New(Options{Workers: 1, Store: st, MemoSpill: true})
 	m := eng.Memo()
 	for i := 0; i < 8; i++ {
-		m.PutHom(context.Background(), ps[i], ps[i+1], nil, wantExists(i, i+1))
-		m.PutCore(context.Background(), ps[i], ps[i])
+		m.PutHom(context.Background(), instance.DigestPair(ps[i], ps[i+1]), wantExists(i, i+1))
+		m.PutCore(context.Background(), ps[i].Digest(), ps[i])
 	}
 	eng.Close()
 	if err := st.Close(); err != nil {
@@ -236,14 +236,14 @@ func TestMemoSpillConcurrentCloseReopenStress(t *testing.T) {
 	defer eng2.Close()
 	m2 := eng2.Memo()
 	for i := 0; i < 8; i++ {
-		_, exists, ok := m2.GetHom(context.Background(), ps[i], ps[i+1])
+		exists, ok := m2.GetHom(context.Background(), instance.DigestPair(ps[i], ps[i+1]))
 		if !ok {
 			t.Fatalf("hom entry %d lost across restart", i)
 		}
 		if exists != wantExists(i, i+1) {
 			t.Errorf("hom entry %d: exists=%v, want %v", i, exists, wantExists(i, i+1))
 		}
-		c, ok := m2.GetCore(context.Background(), ps[i])
+		c, ok := m2.GetCore(context.Background(), ps[i].Digest())
 		if !ok {
 			t.Fatalf("core entry %d lost across restart", i)
 		}
@@ -271,7 +271,7 @@ func TestMemoSpillEntriesSharedBudget(t *testing.T) {
 	ps := benchPointed(t, 64)
 	for n := 0; n < 40; n++ {
 		for i := range ps {
-			m.PutProduct(context.Background(), ps[i], ps[(i+n)%len(ps)], ps[i])
+			m.PutProduct(context.Background(), instance.DigestPair(ps[i], ps[(i+n)%len(ps)]), ps[i])
 		}
 		// Let the write-behind queue drain between waves so the flood
 		// reaches disk instead of dropping.
@@ -364,7 +364,7 @@ func TestMemoSpillPointedFaultIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutKind(store.KindProduct, pairKey(a, b), prod.EncodeBinary()); err != nil {
+	if err := st.PutKind(store.KindProduct, a.Fingerprint()+b.Fingerprint(), prod.EncodeBinary()); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.PutKind(store.KindCore, a.Fingerprint(), []byte("not an encoded instance")); err != nil {
@@ -372,12 +372,12 @@ func TestMemoSpillPointedFaultIn(t *testing.T) {
 	}
 
 	for i := 0; i < 2; i++ {
-		got, ok := m.GetProduct(ctx, a, b)
+		got, ok := m.GetProduct(ctx, instance.DigestPair(a, b))
 		if !ok || got.Fingerprint() != prod.Fingerprint() {
 			t.Fatalf("lookup %d: product served %v (ok %v), want the persisted product", i, got, ok)
 		}
 	}
-	if _, ok := m.GetCore(ctx, a); ok {
+	if _, ok := m.GetCore(ctx, a.Digest()); ok {
 		t.Fatalf("an undecodable core record was served")
 	}
 	s := m.spill.stats()

@@ -40,20 +40,13 @@ type storedResult struct {
 // writes (counted) rather than stalling result delivery.
 const storeWriteQueueSize = 256
 
-// storeWrite is one record for the write-behind queue. Flight leaders
-// persist pre-encoded result records (val); the memo-spill path
-// persists hom/core/product records under their own record kinds. Cores and products are already stored encoded
-// in the memo, so they travel as val too; hom verdicts defer their
-// serialization to the writer goroutine (encode), keeping the encoding
-// cost off the solver hot path — and never paying it at all for writes
-// dropped on a full queue.
+// storeWrite is one record for the write-behind queue: a flight
+// leader's pre-encoded result, or a memo-spill hom, core or product
+// record under its own record kind.
 type storeWrite struct {
 	kind byte
 	key  string
 	val  []byte
-	// encode, when non-nil, renders the value at write time; it must
-	// close over immutable data only (the memo's own deep copies).
-	encode func() []byte
 }
 
 // storeWriter drains the write-behind queue onto the store. It runs as
@@ -63,24 +56,20 @@ type storeWrite struct {
 func (e *Engine) storeWriter() {
 	defer close(e.storeWriterDone)
 	for w := range e.storeCh {
-		val := w.val
-		if w.encode != nil {
-			val = w.encode()
-		}
 		//cqlint:ignore errflow -- PutKind counts its own failures in Stats.PutErrors; the write-behind queue has no caller to return to
-		e.opts.Store.PutKind(w.kind, w.key, val)
+		e.opts.Store.PutKind(w.kind, w.key, w.val)
 	}
 }
 
-// enqueueStoreWrite hands a record (pre-encoded or deferred via
-// w.encode) to the write-behind queue without ever blocking, reporting
-// whether it was accepted; the caller owns drop accounting, so result
-// drops and discardable spill drops stay separate counters. Result
-// writes come from leaders, which Close awaits before fencing the
-// queue; memo-spill writes can also come through the exported Memo
-// from goroutines Close does not await, so the send is guarded: after
-// Close fences the queue (storeClosed under storeMu) a late write is
-// dropped instead of panicking on a closed channel.
+// enqueueStoreWrite hands an encoded record to the write-behind queue
+// without ever blocking, reporting whether it was accepted; the caller
+// owns drop accounting, so result drops and discardable spill drops
+// stay separate counters. Result writes come from leaders, which Close
+// awaits before fencing the queue; memo-spill writes can also come
+// through the exported Memo from goroutines Close does not await, so
+// the send is guarded: after Close fences the queue (storeClosed under
+// storeMu) a late write is dropped instead of panicking on a closed
+// channel.
 func (e *Engine) enqueueStoreWrite(w storeWrite) bool {
 	e.storeMu.RLock()
 	defer e.storeMu.RUnlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"extremalcq/internal/instance"
 	"extremalcq/internal/store"
 )
 
@@ -154,7 +155,7 @@ func TestQueueWaitStats(t *testing.T) {
 }
 
 // TestMemoShardsBehave checks the lock-striped memo against its
-// single-stripe configuration: same hits, same copy semantics, bounded
+// single-stripe configuration: same hits, same verdicts, bounded
 // entries.
 func TestMemoShardsBehave(t *testing.T) {
 	for _, shards := range []int{1, 8} {
@@ -162,10 +163,10 @@ func TestMemoShardsBehave(t *testing.T) {
 			m := NewMemoShards(1024, shards)
 			ps := benchPointed(t, 32)
 			for i, p := range ps {
-				m.PutHom(context.Background(), p, ps[(i+1)%len(ps)], nil, i%2 == 0)
+				m.PutHom(context.Background(), instance.DigestPair(p, ps[(i+1)%len(ps)]), i%2 == 0)
 			}
 			for i, p := range ps {
-				_, exists, ok := m.GetHom(context.Background(), p, ps[(i+1)%len(ps)])
+				exists, ok := m.GetHom(context.Background(), instance.DigestPair(p, ps[(i+1)%len(ps)]))
 				if !ok || exists != (i%2 == 0) {
 					t.Fatalf("entry %d: ok=%v exists=%v", i, ok, exists)
 				}
@@ -194,7 +195,7 @@ func TestMemoShardBoundHolds(t *testing.T) {
 	ps := benchPointed(t, 40)
 	for i := range ps {
 		for j := range ps {
-			m.PutHom(context.Background(), ps[i], ps[j], nil, false)
+			m.PutHom(context.Background(), instance.DigestPair(ps[i], ps[j]), false)
 		}
 	}
 	if got, bound := m.Stats().Entries, max+8; got > bound {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -407,5 +408,42 @@ func TestStreamCloseUnblocksSubscribers(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Close did not return")
+	}
+}
+
+// TestStreamKeepsAnswersWhenCutShort cuts a weakly most-general stream
+// short after it sent answers, once by the job's deadline and once by
+// Close: the terminal summary must report the error next to the
+// answers already sent (found, and the sent frames as its queries),
+// as it does for a candidate error.
+func TestStreamKeepsAnswersWhenCutShort(t *testing.T) {
+	for _, how := range []string{"deadline", "close"} {
+		t.Run(how, func(t *testing.T) {
+			eng := New(Options{})
+			defer eng.Close()
+			j := slowStreamJob(t)
+			if how == "deadline" {
+				j.Timeout = time.Second
+			}
+			s := eng.SubmitStream(context.Background(), j)
+			var frames []string
+			for a := range s.Answers() {
+				frames = append(frames, a.Query)
+				if how == "close" {
+					go eng.Close()
+				}
+			}
+			res := s.Wait()
+			want := context.DeadlineExceeded
+			if how == "close" {
+				want = ErrClosed
+			}
+			if !errors.Is(res.Err, want) {
+				t.Fatalf("err %v, want %v", res.Err, want)
+			}
+			if len(frames) == 0 || !res.Found || !slices.Equal(res.Queries, frames) {
+				t.Errorf("sent %q, summary found %v queries %q; want the sent answers", frames, res.Found, res.Queries)
+			}
+		})
 	}
 }

@@ -6,27 +6,30 @@ import (
 	"extremalcq/internal/instance"
 )
 
-// Cache memoizes homomorphism searches and cores. The hooks may be
-// called concurrently, so implementations must be safe for concurrent
-// use; GetHom must return an assignment and GetCore an instance that the
-// caller may freely use (not shared with other callers).
+// Cache memoizes homomorphism verdicts and cores. The paper's
+// procedures only ask whether a homomorphism exists, so the hom class
+// keeps the verdict alone: ExistsCtx consults it, FindCtx (whose
+// witness a verdict cannot supply) never does. The hooks may be called
+// concurrently, so implementations must be safe for concurrent use;
+// GetCore must return an instance that the caller may freely use (not
+// shared with other callers).
 //
-// Caches are keyed on the exact content of the pointed instances (see
-// instance.Pointed.Fingerprint), so a cached assignment remains a valid
-// witness for every later query with the same operands. The querying
-// job's context is passed through so implementations can attribute
-// traffic (hits, misses, spill fault-ins) to the job's trace recorder.
+// Keys are the exact content of the pointed instances: a hom check is
+// keyed by instance.DigestPair(from, to) and a core by its instance's
+// Digest, each computed once per memoized call and shared by its Get
+// and Put. The querying job's context is passed through so
+// implementations can attribute traffic (hits, misses, spill
+// fault-ins) to the job's trace recorder.
 type Cache interface {
-	// GetHom returns a memoized Find result: ok reports a cache hit,
-	// exists whether a homomorphism from 'from' to 'to' exists, and h a
-	// witness when exists is true.
-	GetHom(ctx context.Context, from, to instance.Pointed) (h Assignment, exists, ok bool)
-	// PutHom memoizes a Find result.
-	PutHom(ctx context.Context, from, to instance.Pointed, h Assignment, exists bool)
+	// GetHom returns a memoized verdict: ok reports a cache hit, exists
+	// whether a homomorphism exists.
+	GetHom(ctx context.Context, key instance.PairDigest) (exists, ok bool)
+	// PutHom memoizes a verdict.
+	PutHom(ctx context.Context, key instance.PairDigest, exists bool)
 	// GetCore returns a memoized core.
-	GetCore(ctx context.Context, p instance.Pointed) (instance.Pointed, bool)
+	GetCore(ctx context.Context, key instance.Digest) (instance.Pointed, bool)
 	// PutCore memoizes a core.
-	PutCore(ctx context.Context, p, core instance.Pointed)
+	PutCore(ctx context.Context, key instance.Digest, core instance.Pointed)
 }
 
 // cacheKey is the context key under which a Cache travels. The cache is

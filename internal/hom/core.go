@@ -24,11 +24,12 @@ func Core(p instance.Pointed) instance.Pointed {
 // check ctx so cancellation stops work promptly.
 func CoreCtx(ctx context.Context, p instance.Pointed) instance.Pointed {
 	if c := cacheFrom(ctx); c != nil {
-		if core, ok := c.GetCore(ctx, p); ok {
+		k := p.Digest()
+		if core, ok := c.GetCore(ctx, k); ok {
 			return core
 		}
 		core := coreUncached(ctx, p)
-		c.PutCore(ctx, p, core)
+		c.PutCore(ctx, k, core)
 		return core
 	}
 	return coreUncached(ctx, p)
@@ -59,8 +60,10 @@ func coreUncached(ctx context.Context, p instance.Pointed) instance.Pointed {
 			target := instance.Pointed{I: cur.I.Restrict(keep), Tuple: cur.Tuple}
 			// The distinguished elements must still occur in the target if
 			// they occurred before (retraction fixes them, so facts over
-			// them must survive the restriction to be mappable).
-			if h, ok := retraction(ctx, cur, target); ok {
+			// them must survive the restriction to be mappable). FindCtx
+			// does not memoize, so these single-use intermediate instances
+			// stay out of the bounded cache; the core itself is memoized.
+			if h, ok := FindCtx(ctx, cur, target); ok {
 				rec.Add(obs.CtrCoreRetractions, 1)
 				cur = imageOf(cur, h)
 				dropped = true
@@ -71,16 +74,6 @@ func coreUncached(ctx context.Context, p instance.Pointed) instance.Pointed {
 			return cur
 		}
 	}
-}
-
-// retraction finds a homomorphism from p into target (an induced
-// subinstance of p) fixing the distinguished tuple pointwise. It
-// bypasses the cache: the intermediate restricted instances of a core
-// computation never recur, so memoizing them would only flood the
-// bounded cache with single-use entries (the overall Core result is
-// what gets memoized).
-func retraction(ctx context.Context, p, target instance.Pointed) (Assignment, bool) {
-	return findUncached(ctx, p, target)
 }
 
 // imageOf restricts p to the image of h (induced subinstance).

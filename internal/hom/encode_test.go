@@ -5,84 +5,66 @@ import (
 	"testing"
 )
 
+// witnessEntry is a record of the format's first writers: verdict true
+// with the witness a ↦ x, b ↦ y.
+var witnessEntry = []byte{memoEntryVersion, 1, 2, 1, 'a', 1, 'x', 1, 'b', 1, 'y'}
+
 func TestEncodeMemoEntryRoundTrip(t *testing.T) {
-	cases := []struct {
-		h      Assignment
-		exists bool
-	}{
-		{nil, false}, // the shape of a memoized "no homomorphism"
-		{nil, true},
-		{Assignment{"a": "x"}, true},
-		{Assignment{"a": "x", "b": "y", "⟨a,b⟩": "z"}, true},
+	for _, exists := range []bool{false, true} {
+		enc := EncodeMemoEntry(exists)
+		// A verdict is a version-1 record with zero witness pairs.
+		want := []byte{memoEntryVersion, 0, 0}
+		if exists {
+			want[1] = 1
+		}
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("EncodeMemoEntry(%v) = %v, want %v", exists, enc, want)
+		}
+		got, err := DecodeMemoEntry(enc)
+		if err != nil || got != exists {
+			t.Fatalf("decode of %v: %v, %v", exists, got, err)
+		}
 	}
-	for i, c := range cases {
-		enc := EncodeMemoEntry(c.h, c.exists)
-		h, exists, err := DecodeMemoEntry(enc)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if exists != c.exists {
-			t.Fatalf("case %d: exists=%v, want %v", i, exists, c.exists)
-		}
-		if len(h) != len(c.h) {
-			t.Fatalf("case %d: %d pairs, want %d", i, len(h), len(c.h))
-		}
-		for k, v := range c.h {
-			if h[k] != v {
-				t.Fatalf("case %d: h[%q]=%q, want %q", i, k, h[k], v)
-			}
-		}
-		// Canonical form: equal entries encode identically regardless of
-		// map iteration order.
-		if !bytes.Equal(enc, EncodeMemoEntry(h, exists)) {
-			t.Fatalf("case %d: re-encoding differs", i)
-		}
+	// A record that carries a witness still decodes to its verdict.
+	if got, err := DecodeMemoEntry(witnessEntry); err != nil || !got {
+		t.Fatalf("witness-carrying record decoded to %v, %v; want true", got, err)
 	}
 }
 
 func TestDecodeMemoEntryRejectsMalformed(t *testing.T) {
-	valid := EncodeMemoEntry(Assignment{"a": "x"}, true)
 	cases := map[string][]byte{
 		"empty":            nil,
 		"one byte":         {memoEntryVersion},
 		"unknown version":  {99, 1, 0},
 		"bad exists":       {memoEntryVersion, 2, 0},
-		"truncated":        valid[:len(valid)-1],
-		"trailing":         append(append([]byte(nil), valid...), 0),
+		"truncated":        witnessEntry[:len(witnessEntry)-1],
+		"trailing":         append(append([]byte(nil), witnessEntry...), 0),
 		"huge pair count":  {memoEntryVersion, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"duplicate source": {memoEntryVersion, 1, 2, 1, 'a', 1, 'x', 1, 'a', 1, 'y'},
 	}
 	for name, data := range cases {
-		if _, _, err := DecodeMemoEntry(data); err == nil {
+		if _, err := DecodeMemoEntry(data); err == nil {
 			t.Errorf("%s: decode accepted malformed input", name)
 		}
 	}
 }
 
 // FuzzDecodeMemoEntry checks the decoder's contract on arbitrary bytes:
-// error or success, never a panic or an over-read, and successful
-// decodes round-trip.
+// error or success, never a panic or an over-read, and a decoded
+// verdict round-trips.
 func FuzzDecodeMemoEntry(f *testing.F) {
-	f.Add(EncodeMemoEntry(nil, false))
-	f.Add(EncodeMemoEntry(Assignment{"a": "x", "b": "y"}, true))
+	f.Add(EncodeMemoEntry(false))
+	f.Add(EncodeMemoEntry(true))
+	f.Add(witnessEntry)
 	f.Add([]byte{})
 	f.Add([]byte{memoEntryVersion, 1, 1, 1, 'a'})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, exists, err := DecodeMemoEntry(data)
+		exists, err := DecodeMemoEntry(data)
 		if err != nil {
 			return
 		}
-		h2, exists2, err := DecodeMemoEntry(EncodeMemoEntry(h, exists))
-		if err != nil {
-			t.Fatalf("re-decode of a decoded value failed: %v", err)
-		}
-		if exists2 != exists || len(h2) != len(h) {
-			t.Fatalf("re-decode changed the value")
-		}
-		for k, v := range h {
-			if h2[k] != v {
-				t.Fatalf("re-decode changed pair %q", k)
-			}
+		if got, err := DecodeMemoEntry(EncodeMemoEntry(exists)); err != nil || got != exists {
+			t.Fatalf("re-decode of verdict %v gave %v, %v", exists, got, err)
 		}
 	})
 }

@@ -23,12 +23,23 @@ func Exists(from, to instance.Pointed) bool {
 	return ExistsCtx(context.Background(), from, to)
 }
 
-// ExistsCtx is Exists under a solver context: results are memoized
-// through the cache carried by ctx (see WithCache), and cancellation
-// unwinds the search (see package solve).
+// ExistsCtx is Exists under a solver context, and the one memoized hom
+// check: the verdict is looked up in, and on a miss stored to, the
+// cache carried by ctx (see WithCache) under one key computed once, and
+// cancellation unwinds the search (see package solve).
 func ExistsCtx(ctx context.Context, from, to instance.Pointed) bool {
-	_, ok := FindCtx(ctx, from, to)
-	return ok
+	c := cacheFrom(ctx)
+	if c == nil {
+		_, ok := FindCtx(ctx, from, to)
+		return ok
+	}
+	k := instance.DigestPair(from, to)
+	if exists, ok := c.GetHom(ctx, k); ok {
+		return exists
+	}
+	_, exists := FindCtx(ctx, from, to)
+	c.PutHom(ctx, k, exists)
+	return exists
 }
 
 // Find returns a homomorphism from 'from' to 'to' if one exists. The
@@ -37,23 +48,11 @@ func Find(from, to instance.Pointed) (Assignment, bool) {
 	return FindCtx(context.Background(), from, to)
 }
 
-// FindCtx is Find under a solver context: results are memoized through
-// the cache carried by ctx (see WithCache), and the backtracking search
-// checks ctx at every node, so deadlines and cancellation stop work
-// promptly (the unwind is a solve sentinel; see package solve).
+// FindCtx is Find under a solver context. It always searches: the
+// cache keeps verdicts, not witnesses. The backtracking search checks
+// ctx at every node, so deadlines and cancellation stop work promptly
+// (the unwind is a solve sentinel; see package solve).
 func FindCtx(ctx context.Context, from, to instance.Pointed) (Assignment, bool) {
-	if c := cacheFrom(ctx); c != nil {
-		if h, exists, ok := c.GetHom(ctx, from, to); ok {
-			return h, exists
-		}
-		h, exists := findUncached(ctx, from, to)
-		c.PutHom(ctx, from, to, h, exists)
-		return h, exists
-	}
-	return findUncached(ctx, from, to)
-}
-
-func findUncached(ctx context.Context, from, to instance.Pointed) (Assignment, bool) {
 	rec := obs.FromContext(ctx)
 	rec.Add(obs.CtrHomSearches, 1)
 	sp := rec.StartSpan(obs.PhaseHomSearch)

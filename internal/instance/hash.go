@@ -12,24 +12,55 @@ import (
 // keys by the memoization layer of the fitting engine, and the
 // context-carried product cache consulted by ProductCtx.
 
-// Fingerprint returns a canonical digest of the pointed instance: two
+// Digest is the canonical SHA-256 digest of a pointed instance (see
+// Pointed.Digest). As an array it is a map key that costs no
+// allocation and holds no pointer.
+type Digest [sha256.Size]byte
+
+// PairDigest keys an ordered pair of pointed instances: their two
+// digests side by side (see DigestPair).
+type PairDigest [2 * sha256.Size]byte
+
+// DigestPair returns the key of the ordered pair (a, b).
+func DigestPair(a, b Pointed) PairDigest {
+	var k PairDigest
+	da, db := a.Digest(), b.Digest()
+	copy(k[:sha256.Size], da[:])
+	copy(k[sha256.Size:], db[:])
+	return k
+}
+
+// digestBuf sizes the stack buffer Digest hashes from: the instance
+// digest, the tuple length and a few length-prefixed tuple values. A
+// longer tuple spills to the heap and hashes the same bytes.
+const digestBuf = 256
+
+// Digest returns a canonical digest of the pointed instance: two
 // pointed instances with equal schemas, equal fact sets and equal
-// distinguished tuples have equal fingerprints, and (up to hash
-// collisions of SHA-256) conversely. The digest is returned as a raw
-// 32-byte string so it can be used directly as a map key.
+// distinguished tuples have equal digests, and (up to hash collisions
+// of SHA-256) conversely. Once the instance's own digest is memoized
+// (see Instance.Fingerprint), Digest allocates nothing for tuples of
+// ordinary length.
 //
-// Note that the fingerprint identifies instances up to equality, not up
-// to isomorphism: value names matter. That is the right granularity for
+// Note that the digest identifies instances up to equality, not up to
+// isomorphism: value names matter. That is the right granularity for
 // memoizing homomorphism checks, cores and products, whose outputs also
 // depend on the concrete value names.
-func (p Pointed) Fingerprint() string {
-	h := sha256.New()
-	io.WriteString(h, p.I.Fingerprint())
-	writeUint(h, uint64(len(p.Tuple)))
+func (p Pointed) Digest() Digest {
+	var buf [digestBuf]byte
+	b := append(buf[:0], p.I.Fingerprint()...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(p.Tuple)))
 	for _, a := range p.Tuple {
-		writeString(h, string(a))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(a)))
+		b = append(b, a...)
 	}
-	return string(h.Sum(nil))
+	return sha256.Sum256(b)
+}
+
+// Fingerprint returns Digest as a raw 32-byte string.
+func (p Pointed) Fingerprint() string {
+	d := p.Digest()
+	return string(d[:])
 }
 
 // Fingerprint returns the canonical digest of the instance alone (its
@@ -92,15 +123,16 @@ func writeString(w io.Writer, s string) {
 // ---------------------------------------------------------------------
 
 // ProductCache memoizes direct products of pointed instances. The cache
-// is consulted by ProductCtx with the two (validated) operands; the
-// methods may be called concurrently, so implementations must be safe
-// for concurrent use, and GetProduct must return an instance the caller
-// may freely use (i.e. one not shared with other callers). The querying
+// is consulted by ProductCtx with the key of the two (validated)
+// operands, DigestPair(a, b), computed once per product; the methods
+// may be called concurrently, so implementations must be safe for
+// concurrent use, and GetProduct must return an instance the caller may
+// freely use (i.e. one not shared with other callers). The querying
 // job's context is passed through so implementations can attribute
 // traffic (hits, misses, spill fault-ins) to the job's trace recorder.
 type ProductCache interface {
-	GetProduct(ctx context.Context, a, b Pointed) (Pointed, bool)
-	PutProduct(ctx context.Context, a, b, prod Pointed)
+	GetProduct(ctx context.Context, key PairDigest) (Pointed, bool)
+	PutProduct(ctx context.Context, key PairDigest, prod Pointed)
 }
 
 // productCacheKey is the context key under which a ProductCache travels.

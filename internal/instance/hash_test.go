@@ -1,6 +1,10 @@
 package instance
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"io"
+	"strings"
 	"testing"
 
 	"extremalcq/internal/schema"
@@ -72,5 +76,40 @@ func TestCheckValueRejectsControlCharacters(t *testing.T) {
 	}
 	if err := CheckValue("plain_value-1"); err != nil {
 		t.Errorf("CheckValue rejected a plain value: %v", err)
+	}
+}
+
+// TestDigestMatchesStreamedHash pins Digest to the stream the memo
+// spill's on-disk keys were hashed from (the instance digest, the tuple
+// length, then each length-prefixed tuple value), for tuples that fit
+// Digest's stack buffer and for one that spills past it, and checks
+// that a digest of an indexed instance allocates nothing.
+func TestDigestMatchesStreamedHash(t *testing.T) {
+	long := make([]Value, 12)
+	for i := range long {
+		long[i] = Value(strings.Repeat("v", 20+i))
+	}
+	for _, p := range []Pointed{
+		pointedOf(t, nil, NewFact("R", "a", "b")),
+		pointedOf(t, []Value{"a", "zz"}, NewFact("R", "a", "b"), NewFact("R", "b", "c")),
+		pointedOf(t, long, NewFact("R", "a", "b")),
+	} {
+		h := sha256.New()
+		io.WriteString(h, p.I.Fingerprint())
+		writeUint(h, uint64(len(p.Tuple)))
+		for _, a := range p.Tuple {
+			writeString(h, string(a))
+		}
+		d := p.Digest()
+		if want := h.Sum(nil); !bytes.Equal(d[:], want) || p.Fingerprint() != string(want) {
+			t.Errorf("%v: digest %x, want %x", p, d, want)
+		}
+	}
+	p := pointedOf(t, []Value{"a"}, NewFact("R", "a", "b"))
+	q := pointedOf(t, []Value{"b"}, NewFact("R", "b", "c"))
+	p.I.BuildIndexes()
+	q.I.BuildIndexes()
+	if n := testing.AllocsPerRun(100, func() { DigestPair(p, q) }); n != 0 {
+		t.Errorf("DigestPair allocates %.1f per call, want 0", n)
 	}
 }

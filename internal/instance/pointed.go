@@ -238,12 +238,13 @@ func ProductCtx(ctx context.Context, e1, e2 Pointed) (Pointed, error) {
 		return Pointed{}, fmt.Errorf("instance: product of arities %d and %d", e1.Arity(), e2.Arity())
 	}
 	if c := productCacheFrom(ctx); c != nil {
-		if prod, ok := c.GetProduct(ctx, e1, e2); ok {
+		k := DigestPair(e1, e2)
+		if prod, ok := c.GetProduct(ctx, k); ok {
 			return prod, nil
 		}
 		prod, err := productUncached(ctx, e1, e2)
 		if err == nil {
-			c.PutProduct(ctx, e1, e2, prod)
+			c.PutProduct(ctx, k, prod)
 		}
 		return prod, err
 	}
