@@ -6,14 +6,18 @@ import (
 )
 
 // scratch is the reusable per-search buffer set: the flat domain word
-// array, the save-epoch array, the undo trail and the per-depth
-// candidate slices. One scratch serves one searcher at a time; the
-// arena recycles them across the memo-missed subproblems of an engine.
+// array, the save-epoch array, the undo trail, the per-depth candidate
+// slices, and the propagation worklist with its queued flags and
+// support bitsets. One scratch serves one searcher at a time; the arena
+// recycles them across the memo-missed subproblems of an engine.
 type scratch struct {
-	dom   []uint64
-	saved []uint64
-	trail []trailEntry
-	cands [][]uint32
+	dom    []uint64
+	saved  []uint64
+	trail  []trailEntry
+	cands  [][]uint32
+	queue  []uint32
+	queued []bool
+	sup    []uint64
 }
 
 // Arena pools search scratch across searches. It is safe for

@@ -6,18 +6,29 @@
 // Per search, source variables and target values are interned to dense
 // uint32 ids, target facts are stored per relation as CSR-style
 // adjacency arrays (one flat row array plus a per-(position,value)
-// row index), and candidate domains are []uint64 bitsets with
-// popcount-driven MRV ordering. Propagation (generalized arc
-// consistency) and the backtracking search mutate one shared domain
+// row index), source facts index their variables and each variable
+// the facts it occurs in (a var→fact CSR), and candidate domains are
+// []uint64 bitsets with popcount-driven MRV ordering.
+//
+// Propagation (generalized arc consistency) is incremental: the root
+// queues every source fact, an assignment queues only the assigned
+// variable's facts, and a revision that narrows a variable queues that
+// variable's other facts. A revision scans the fact's target rows once
+// (only the CSR buckets of its smallest non-full domain when there is
+// one), ORs every consistent row into per-position support bitsets and
+// ANDs each variable's domain with its support. GAC has one greatest
+// fixpoint, so every node sees the domains a full re-pass would give.
+// Propagation and the backtracking search mutate one shared domain
 // array and unwind through a word-level trail instead of cloning it
 // per node, so a search node costs a few saved words.
 //
-// The search checks its context at every node (solve.Check), so
-// deadlines and cancellation unwind it promptly, and search-progress
-// counters (obs.CtrHomNodes etc.) go to the job's recorder. Scratch
-// state is reusable across searches via an Arena (see arena.go), and a
-// single giant check can be split across cores by the parallel driver
-// (see parallel.go).
+// The search checks its context at every node and every revision (a
+// lock-free poll of its Done channel, then solve.Check), so deadlines
+// and cancellation unwind it promptly, and search-progress counters
+// (obs.CtrHomNodes etc.) go to the job's recorder. Scratch state is
+// reusable across searches via an Arena (see arena.go), and a single
+// giant check can be split across cores by the parallel driver (see
+// parallel.go).
 package compact
 
 import (
@@ -49,11 +60,13 @@ type relData struct {
 // pointer to the target relation's data (nil when the target has no
 // facts of that relation — the search is then trivially unsatisfiable).
 // firstPos[j] is the least j' with args[j'] == args[j]; positions with
-// firstPos[j] != j carry a repeated variable whose images must agree.
+// firstPos[j] != j carry a repeated variable whose images must agree,
+// and the positions with firstPos[j] == j name the fact's distinct
+// variables. Both slices are windows into slabs shared by every fact.
 type cfact struct {
 	rel      *relData
 	args     []uint32
-	firstPos []uint8
+	firstPos []uint32
 }
 
 // Rep is the immutable compact form of one homomorphism search: the
@@ -69,6 +82,12 @@ type Rep struct {
 	vars  []instance.Value // variable id -> source value
 	tvals []instance.Value // target id -> target value
 	facts []cfact
+	// varOff/varFacts form the var→fact CSR: the facts variable v occurs
+	// in, each once and in increasing order, are
+	// varFacts[varOff[v]:varOff[v+1]].
+	varOff   []uint32
+	varFacts []uint32
+	maxArity int // widest source fact: sizes a revision's support scratch
 	// init is the seeded domain array (pinned variables as singletons,
 	// the full target domain otherwise); searches copy it, never mutate.
 	init []uint64
@@ -114,77 +133,133 @@ func Build(ctx context.Context, from, to *instance.Instance, pinned map[instance
 			rels[name] = nil
 			return nil
 		}
-		ar := len(fs[0].Args)
-		rd := &relData{arity: ar, nrows: len(fs), rows: make([]uint32, 0, ar*len(fs))}
-		for _, g := range fs {
-			for _, a := range g.Args {
-				rd.rows = append(rd.rows, tID[a])
+		// One slab per relation: the rows, then the CSR index offsets, then
+		// the bucket lists.
+		ar, nrows := len(fs[0].Args), len(fs)
+		rowsEnd := ar * nrows
+		offEnd := rowsEnd + ar*r.nt + 1
+		slab := make([]uint32, offEnd+ar*nrows)
+		rd := &relData{arity: ar, nrows: nrows, rows: slab[:rowsEnd:rowsEnd],
+			idxOff: slab[rowsEnd:offEnd:offEnd], idxRows: slab[offEnd:]}
+		for row, g := range fs {
+			for p, a := range g.Args {
+				w := tID[a]
+				rd.rows[row*ar+p] = w
+				rd.idxOff[p*r.nt+int(w)+1]++
 			}
 		}
-		// CSR index: count, prefix-sum, fill.
-		nb := ar * r.nt
-		counts := make([]uint32, nb+1)
-		for row := 0; row < rd.nrows; row++ {
-			for p := 0; p < ar; p++ {
-				counts[p*r.nt+int(rd.rows[row*ar+p])+1]++
-			}
-		}
-		for i := 0; i < nb; i++ {
-			counts[i+1] += counts[i]
-		}
-		rd.idxOff = counts
-		rd.idxRows = make([]uint32, ar*rd.nrows)
-		fill := make([]uint32, nb)
-		copy(fill, rd.idxOff[:nb])
-		for row := 0; row < rd.nrows; row++ {
+		csrStarts(rd.idxOff)
+		for row := 0; row < nrows; row++ {
 			for p := 0; p < ar; p++ {
 				b := p*r.nt + int(rd.rows[row*ar+p])
-				rd.idxRows[fill[b]] = uint32(row)
-				fill[b]++
+				rd.idxRows[rd.idxOff[b]] = uint32(row)
+				rd.idxOff[b]++
 			}
 		}
+		csrEnds(rd.idxOff)
 		rels[name] = rd
 		return rd
 	}
 
-	for _, f := range from.Facts() {
-		cf := cfact{rel: relOf(f.Rel), args: make([]uint32, len(f.Args)), firstPos: make([]uint8, len(f.Args))}
+	// Source facts. The equality types go in one slab; the args, then the
+	// var→fact offsets and lists, in another.
+	facts := from.Facts()
+	nargs := 0
+	for _, f := range facts {
+		nargs += len(f.Args)
+		r.maxArity = max(r.maxArity, len(f.Args))
+	}
+	firstPos := make([]uint32, nargs)
+	distinct, off := 0, 0
+	for _, f := range facts {
 		for j, a := range f.Args {
-			cf.args[j] = varID[a]
-			cf.firstPos[j] = uint8(j)
+			fp := j
 			for k := 0; k < j; k++ {
 				if f.Args[k] == a {
-					cf.firstPos[j] = uint8(k)
+					fp = k
 					break
 				}
 			}
+			firstPos[off+j] = uint32(fp)
+			if fp == j {
+				distinct++
+			}
 		}
-		r.facts = append(r.facts, cf)
+		off += len(f.Args)
 	}
+	offEnd := nargs + r.nv + 1
+	slab := make([]uint32, offEnd+distinct)
+	args := slab[:nargs:nargs]
+	r.varOff = slab[nargs:offEnd:offEnd]
+	r.varFacts = slab[offEnd:]
+	r.facts = make([]cfact, len(facts))
+	off = 0
+	for i, f := range facts {
+		end := off + len(f.Args)
+		cf := &r.facts[i]
+		cf.rel = relOf(f.Rel)
+		cf.args = args[off:end:end]
+		cf.firstPos = firstPos[off:end:end]
+		for j, a := range f.Args {
+			v := varID[a]
+			cf.args[j] = v
+			if cf.firstPos[j] == uint32(j) {
+				r.varOff[v+1]++
+			}
+		}
+		off = end
+	}
+	csrStarts(r.varOff)
+	for i := range r.facts {
+		f := &r.facts[i]
+		for j, v := range f.args {
+			if f.firstPos[j] == uint32(j) {
+				r.varFacts[r.varOff[v]] = uint32(i)
+				r.varOff[v]++
+			}
+		}
+	}
+	csrEnds(r.varOff)
 
 	// Seed domains: pinned variables get a singleton, the rest the full
 	// target domain (mask the last word's tail).
 	r.init = make([]uint64, r.nv*r.words)
-	full := make([]uint64, r.words)
-	for i := range full {
-		full[i] = ^uint64(0)
-	}
-	if tail := r.nt % 64; tail != 0 {
-		full[r.words-1] = (uint64(1) << tail) - 1
-	}
-	if r.nt == 0 {
-		full[0] = 0
-	}
 	for v := 0; v < r.nv; v++ {
 		d := r.init[v*r.words : (v+1)*r.words]
 		if b, ok := pinned[r.vars[v]]; ok {
 			w := tID[b] // caller validated b ∈ dom(to)
 			d[w/64] = uint64(1) << (w % 64)
-		} else {
-			copy(d, full)
+			continue
+		}
+		for i := range d {
+			d[i] = ^uint64(0)
+		}
+		if tail := r.nt % 64; tail != 0 || r.nt == 0 {
+			d[r.words-1] = (uint64(1) << tail) - 1
 		}
 	}
 	return r
+}
+
+// A CSR index is filled in place, with no cursor array: the counts go
+// in off[b+1], csrStarts turns them into bucket starts, the fill
+// appends bucket b's items at off[b] and advances it, and csrEnds shifts
+// the advanced cursors back, so bucket b spans items[off[b]:off[b+1]]
+// in fill order.
+
+// csrStarts prefix-sums the counts in off[1:], leaving off[b] at the
+// start of bucket b.
+func csrStarts(off []uint32) {
+	for b := 1; b < len(off); b++ {
+		off[b] += off[b-1]
+	}
+}
+
+// csrEnds restores the offsets after the fill advanced every cursor
+// off[b] to the end of bucket b, which is where bucket b+1 starts.
+func csrEnds(off []uint32) {
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
 }
 
 // ToAssignment converts a solution (variable id -> target id) into the
@@ -214,9 +289,10 @@ type trailEntry struct {
 // epoch (decision point), so undoing a node restores exactly the words
 // it touched.
 type searcher struct {
-	r   *Rep
-	ctx context.Context
-	rec *obs.Recorder
+	r    *Rep
+	ctx  context.Context
+	done <-chan struct{} // ctx.Done(), polled by checkpoint
+	rec  *obs.Recorder
 
 	dom   []uint64
 	trail []trailEntry
@@ -230,6 +306,19 @@ type searcher struct {
 	// across sibling nodes to keep the per-node allocation count flat.
 	cands [][]uint32
 
+	// The propagation worklist: a FIFO ring of fact ids (one slot per
+	// fact; queued[f] marks the facts in it, so none is in it twice),
+	// empty between propagations. FIFO order lets a queued fact collect
+	// every narrowing of its variables before its one revision; a LIFO
+	// stack revised so much more often that ParityCycle(16..20) searches
+	// ran 2–3× slower. sup holds a revision's per-position support
+	// bitsets.
+	queue  []uint32
+	queued []bool
+	head   int
+	queueN int
+	sup    []uint64
+
 	stop *stopFlag // parallel early-stop; nil for sequential searches
 
 	// parked is the arena scratch this searcher borrowed; release
@@ -241,17 +330,24 @@ type searcher struct {
 // (the seeded init domains, or a split prefix snapshot).
 func (r *Rep) newSearcher(ctx context.Context, from []uint64, stop *stopFlag) *searcher {
 	s := &searcher{r: r, ctx: ctx, rec: obs.FromContext(ctx), stop: stop}
-	sc := r.arena.get()
-	s.dom = resizeU64(sc.dom, len(from))
-	copy(s.dom, from)
-	s.saved = resizeU64(sc.saved, len(from))
-	for i := range s.saved {
-		s.saved[i] = 0
+	if ctx != nil {
+		s.done = ctx.Done()
 	}
+	sc := r.arena.get()
+	s.dom = resize(sc.dom, len(from))
+	copy(s.dom, from)
+	s.saved = resize(sc.saved, len(from))
+	clear(s.saved)
 	s.trail = sc.trail[:0]
 	s.cands = sc.cands
 	s.epoch = 1
-	sc.dom, sc.saved, sc.trail, sc.cands = nil, nil, nil, nil
+	// A searcher unwound mid-propagation (a cancellation) parks its
+	// scratch with facts still marked queued.
+	s.queue = resize(sc.queue, len(r.facts))
+	s.queued = resize(sc.queued, len(r.facts))
+	clear(s.queued)
+	s.sup = resize(sc.sup, r.maxArity*r.words)
+	*sc = scratch{}
 	s.parked = sc
 	return s
 }
@@ -261,10 +357,8 @@ func (s *searcher) release() {
 	if s.parked == nil {
 		return
 	}
-	s.parked.dom = s.dom
-	s.parked.saved = s.saved
-	s.parked.trail = s.trail
-	s.parked.cands = s.cands
+	*s.parked = scratch{dom: s.dom, saved: s.saved, trail: s.trail, cands: s.cands,
+		queue: s.queue, queued: s.queued, sup: s.sup}
 	s.r.arena.put(s.parked)
 	s.parked = nil
 }
@@ -272,6 +366,20 @@ func (s *searcher) release() {
 func (s *searcher) domain(v int) []uint64 {
 	w := s.r.words
 	return s.dom[v*w : (v+1)*w]
+}
+
+// checkpoint unwinds the search when its context is done, as
+// solve.Check does. It polls the Done channel cached when the searcher
+// was made instead of calling ctx.Err, which locks the context's mutex:
+// with a checkpoint per revision, ctx.Err took a quarter of cqfitd's CPU
+// on solve-1c, much of it contention between the workers of a split
+// search, which share one context.
+func (s *searcher) checkpoint() {
+	select {
+	case <-s.done:
+		solve.Check(s.ctx)
+	default:
+	}
 }
 
 // setWord writes dom[idx] = val, saving the old value on the trail once
@@ -418,94 +526,174 @@ func (s *searcher) factHolds(f *cfact, sol []uint32) bool {
 // propagation (generalized arc consistency)
 // ---------------------------------------------------------------------
 
-// propagate enforces GAC fact-by-fact until a fixpoint, narrowing the
+// push queues fact fi unless it is already queued.
+func (s *searcher) push(fi uint32) {
+	if s.queued[fi] {
+		return
+	}
+	s.queued[fi] = true
+	i := s.head + s.queueN
+	if i >= len(s.queue) {
+		i -= len(s.queue)
+	}
+	s.queue[i] = fi
+	s.queueN++
+}
+
+// pop dequeues the oldest queued fact.
+func (s *searcher) pop() uint32 {
+	fi := s.queue[s.head]
+	s.queued[fi] = false
+	s.head++
+	if s.head == len(s.queue) {
+		s.head = 0
+	}
+	s.queueN--
+	return fi
+}
+
+// pushFactsOf queues every fact variable v occurs in, except skip.
+func (s *searcher) pushFactsOf(v int, skip uint32) {
+	r := s.r
+	for _, fi := range r.varFacts[r.varOff[v]:r.varOff[v+1]] {
+		if fi != skip {
+			s.push(fi)
+		}
+	}
+}
+
+// propagateAll enforces GAC on every fact: the root propagation.
+func (s *searcher) propagateAll() bool {
+	for fi := range s.r.facts {
+		s.push(uint32(fi))
+	}
+	return s.propagate()
+}
+
+// propagateFrom restores GAC after dom(v) was narrowed (an assignment)
+// from a state that was arc consistent before: only v's facts can have
+// lost support.
+func (s *searcher) propagateFrom(v int) bool {
+	s.pushFactsOf(v, ^uint32(0))
+	return s.propagate()
+}
+
+// propagate revises queued facts until the queue empties, narrowing the
 // shared domain array in place (every clear is trailed). ok=false means
-// some domain emptied. The fixpoint loop checks the solver context so a
-// large instance cannot delay cancellation by a whole pass.
+// some domain emptied; the queue is then emptied too. The solver context
+// is checked once per revision, so a large instance cannot delay
+// cancellation.
 func (s *searcher) propagate() bool {
-	changed := true
-	for changed {
-		solve.Check(s.ctx)
-		changed = false
-		for fi := range s.r.facts {
-			f := &s.r.facts[fi]
-			if f.rel == nil {
-				// Source relation with no target facts: unsatisfiable.
-				return false
+	for s.queueN > 0 {
+		s.checkpoint()
+		if !s.revise(s.pop()) {
+			for i := 0; i < s.queueN; i++ {
+				s.queued[s.queue[(s.head+i)%len(s.queue)]] = false
 			}
-			for j := range f.args {
-				v := int(f.args[j])
-				removed, alive := s.narrow(f, j, v)
-				if removed > 0 {
-					s.rec.Add(obs.CtrHomPrunings, int64(removed))
-					changed = true
-				}
-				if !alive {
-					return false
-				}
-			}
+			s.head, s.queueN = 0, 0
+			return false
 		}
 	}
 	return true
 }
 
-// narrow removes from dom(v) every candidate unsupported at position j
-// of fact f. Returns the number of removed candidates and whether the
-// domain stayed non-empty.
-func (s *searcher) narrow(f *cfact, j, v int) (removed int, alive bool) {
-	base := v * s.r.words
-	any := false
-	for i := 0; i < s.r.words; i++ {
-		w := s.dom[base+i]
-		kept := w
-		//cqlint:ignore ctxloop -- clears one bit per iteration; at most 64 per word
-		for bw := w; bw != 0; bw &= bw - 1 {
-			b := bits.TrailingZeros64(bw)
-			cand := uint32(i*64 + b)
-			if !s.supported(f, j, cand) {
-				kept &^= uint64(1) << b
-				removed++
+// revise makes fact fi arc consistent in one pass over its target rows:
+// a row is kept when each distinct variable's value lies in its domain
+// and each repeated variable's values agree; every kept row's values go
+// into their positions' support bitsets, and each distinct variable's
+// domain is ANDed with its support. Rows are read from the CSR buckets
+// of the pivot — the distinct variable with the smallest domain — when
+// that domain is not full, and all rows are scanned otherwise. A
+// variable the revision narrows queues its other facts; fi itself stays
+// consistent, since every kept row survives the narrowing. Returns
+// false when a domain empties.
+func (s *searcher) revise(fi uint32) bool {
+	r := s.r
+	f := &r.facts[fi]
+	rd := f.rel
+	if rd == nil {
+		// Source relation with no target facts: unsatisfiable.
+		return false
+	}
+	ar, words := rd.arity, r.words
+	pivot, pivotN := -1, r.nt
+	for j := 0; j < ar; j++ {
+		if f.firstPos[j] == uint32(j) {
+			if n := s.count(int(f.args[j])); n < pivotN {
+				pivot, pivotN = j, n
 			}
 		}
-		if kept != w {
-			s.setWord(base+i, kept)
+	}
+	sup := s.sup[:ar*words]
+	clear(sup)
+	if pivot < 0 {
+		for row := 0; row < rd.nrows; row++ {
+			s.support(f, row, sup)
 		}
-		if kept != 0 {
-			any = true
+	} else {
+		base := int(f.args[pivot]) * words
+		for i := 0; i < words; i++ {
+			//cqlint:ignore ctxloop -- clears one bit per iteration; at most 64 per word
+			for bw := s.dom[base+i]; bw != 0; bw &= bw - 1 {
+				b := pivot*r.nt + i*64 + bits.TrailingZeros64(bw)
+				for _, row := range rd.idxRows[rd.idxOff[b]:rd.idxOff[b+1]] {
+					s.support(f, int(row), sup)
+				}
+			}
 		}
 	}
-	return removed, any
+	removed := 0
+	for j := 0; j < ar; j++ {
+		if f.firstPos[j] != uint32(j) {
+			continue
+		}
+		v := int(f.args[j])
+		base := v * words
+		alive, narrowed := false, false
+		for i := 0; i < words; i++ {
+			old := s.dom[base+i]
+			kept := old & sup[j*words+i]
+			if kept != old {
+				s.setWord(base+i, kept)
+				removed += bits.OnesCount64(old &^ kept)
+				narrowed = true
+			}
+			alive = alive || kept != 0
+		}
+		if !alive {
+			s.rec.Add(obs.CtrHomPrunings, int64(removed))
+			return false
+		}
+		if narrowed {
+			s.pushFactsOf(v, fi)
+		}
+	}
+	if removed > 0 {
+		s.rec.Add(obs.CtrHomPrunings, int64(removed))
+	}
+	return true
 }
 
-// supported reports whether some target row of f's relation has cand at
-// position j, every other position's value inside the current domain of
-// its variable, and equal values wherever f repeats a variable.
-func (s *searcher) supported(f *cfact, j int, cand uint32) bool {
+// support ORs row's values into sup, position by position, when the row
+// is consistent with fact f under the current domains.
+func (s *searcher) support(f *cfact, row int, sup []uint64) {
 	rd := f.rel
-	ar := rd.arity
-	b := j*s.r.nt + int(cand)
-	for _, row := range rd.idxRows[rd.idxOff[b]:rd.idxOff[b+1]] {
-		off := int(row) * ar
-		match := true
-		for k := 0; k < ar; k++ {
-			w := rd.rows[off+k]
-			if fp := int(f.firstPos[k]); fp != k {
-				if rd.rows[off+fp] != w {
-					match = false
-					break
-				}
-				continue
+	ar, words := rd.arity, s.r.words
+	vals := rd.rows[row*ar : (row+1)*ar]
+	for k, w := range vals {
+		if fp := f.firstPos[k]; fp != uint32(k) {
+			if vals[fp] != w {
+				return
 			}
-			if !s.has(int(f.args[k]), w) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return true
+		} else if !s.has(int(f.args[k]), w) {
+			return
 		}
 	}
-	return false
+	for k, w := range vals {
+		if f.firstPos[k] == uint32(k) {
+			sup[k*words+int(w/64)] |= uint64(1) << (w % 64)
+		}
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -515,7 +703,7 @@ func (s *searcher) supported(f *cfact, j int, cand uint32) bool {
 // find runs GAC-based backtracking from the current domains and returns
 // one solution or nil. depth indexes the candidate scratch.
 func (s *searcher) find(depth int) []uint32 {
-	solve.Check(s.ctx)
+	s.checkpoint()
 	if s.stop.stopped() {
 		return nil
 	}
@@ -533,7 +721,7 @@ func (s *searcher) find(depth int) []uint32 {
 		m := s.mark()
 		s.epoch++
 		s.assign(v, w)
-		if s.propagate() {
+		if s.propagateFrom(v) {
 			if sol := s.find(depth + 1); sol != nil {
 				return sol
 			}
@@ -547,7 +735,7 @@ func (s *searcher) find(depth int) []uint32 {
 // enum enumerates every solution below the current domains, yielding
 // each; returns false when enumeration should stop.
 func (s *searcher) enum(depth int, yield func([]uint32) bool) bool {
-	solve.Check(s.ctx)
+	s.checkpoint()
 	if s.stop.stopped() {
 		return false
 	}
@@ -564,7 +752,7 @@ func (s *searcher) enum(depth int, yield func([]uint32) bool) bool {
 		m := s.mark()
 		s.epoch++
 		s.assign(v, w)
-		if s.propagate() {
+		if s.propagateFrom(v) {
 			if !s.enum(depth+1, yield) {
 				s.undo(m)
 				return false
@@ -587,7 +775,7 @@ func (r *Rep) Find(ctx context.Context, workers int) ([]uint32, bool) {
 	}
 	s := r.newSearcher(ctx, r.init, nil)
 	defer s.release()
-	if !s.propagate() {
+	if !s.propagateAll() {
 		return nil, false
 	}
 	sol := s.find(0)
@@ -606,7 +794,7 @@ func (r *Rep) FindAll(ctx context.Context, workers int, yield func([]uint32) boo
 	}
 	s := r.newSearcher(ctx, r.init, nil)
 	defer s.release()
-	if !s.propagate() {
+	if !s.propagateAll() {
 		return
 	}
 	s.enum(0, yield)
@@ -618,7 +806,7 @@ func (r *Rep) FindAll(ctx context.Context, workers int, yield func([]uint32) boo
 func (r *Rep) ArcConsistent(ctx context.Context) bool {
 	s := r.newSearcher(ctx, r.init, nil)
 	defer s.release()
-	return s.propagate()
+	return s.propagateAll()
 }
 
 // NumVars returns the number of interned source variables.
@@ -627,11 +815,11 @@ func (r *Rep) NumVars() int { return r.nv }
 // NumTargetValues returns the number of interned target values.
 func (r *Rep) NumTargetValues() int { return r.nt }
 
-// resizeU64 returns buf resized to n words, reallocating only when the
+// resize returns buf resized to n elements, reallocating only when the
 // capacity is short.
-func resizeU64(buf []uint64, n int) []uint64 {
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

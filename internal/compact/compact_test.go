@@ -3,10 +3,13 @@ package compact
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"extremalcq/internal/genex"
 	"extremalcq/internal/instance"
+	"extremalcq/internal/schema"
 	"extremalcq/internal/solve"
 )
 
@@ -221,5 +224,218 @@ func TestEmptyTarget(t *testing.T) {
 	}
 	if len(sol) != 0 {
 		t.Fatalf("empty source solution has %d vars", len(sol))
+	}
+}
+
+// ---------------------------------------------------------------------
+// reference propagator: the full-pass GAC the worklist replaced
+// ---------------------------------------------------------------------
+
+// fullPassPropagate is the reference for the incremental propagator:
+// it enforces GAC fact by fact, position by position and candidate by
+// candidate, and repeats the whole pass until a pass changes nothing.
+// It shares the searcher's domains and trail, so both can run on the
+// same Rep and be compared word for word.
+func (s *searcher) fullPassPropagate() bool {
+	changed := true
+	for changed {
+		changed = false
+		for fi := range s.r.facts {
+			f := &s.r.facts[fi]
+			if f.rel == nil {
+				return false
+			}
+			for j := range f.args {
+				removed, alive := s.narrow(f, j, int(f.args[j]))
+				if removed > 0 {
+					changed = true
+				}
+				if !alive {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// narrow removes from dom(v) every candidate unsupported at position j
+// of fact f. Returns the number of removed candidates and whether the
+// domain stayed non-empty.
+func (s *searcher) narrow(f *cfact, j, v int) (removed int, alive bool) {
+	base := v * s.r.words
+	for i := 0; i < s.r.words; i++ {
+		w := s.dom[base+i]
+		kept := w
+		for bw := w; bw != 0; bw &= bw - 1 {
+			b := bits.TrailingZeros64(bw)
+			if !s.supported(f, j, uint32(i*64+b)) {
+				kept &^= uint64(1) << b
+				removed++
+			}
+		}
+		if kept != w {
+			s.setWord(base+i, kept)
+		}
+		alive = alive || kept != 0
+	}
+	return removed, alive
+}
+
+// supported reports whether some target row of f's relation has cand at
+// position j, every other position's value inside the current domain of
+// its variable, and equal values wherever f repeats a variable.
+func (s *searcher) supported(f *cfact, j int, cand uint32) bool {
+	rd := f.rel
+	ar := rd.arity
+	b := j*s.r.nt + int(cand)
+	for _, row := range rd.idxRows[rd.idxOff[b]:rd.idxOff[b+1]] {
+		off := int(row) * ar
+		match := true
+		for k := 0; k < ar; k++ {
+			w := rd.rows[off+k]
+			if fp := int(f.firstPos[k]); fp != k {
+				if rd.rows[off+fp] != w {
+					match = false
+					break
+				}
+				continue
+			}
+			if !s.has(int(f.args[k]), w) {
+				match = false
+				break
+			}
+		}
+		if match {
+			return true
+		}
+	}
+	return false
+}
+
+// randomRep builds a random search over {R/2, P/1, T/3}: a source with
+// repeated variables, a target and a pinned distinguished tuple (pairs
+// hom.newSearch would reject are drawn again). Half the targets get a
+// planted image of the source, so that the search is satisfiable and
+// assignments reach deep before they wipe out.
+func randomRep(rng *rand.Rand) *Rep {
+	sch := schema.MustNew(
+		schema.Relation{Name: "R", Arity: 2},
+		schema.Relation{Name: "P", Arity: 1},
+		schema.Relation{Name: "T", Arity: 3},
+	)
+	for {
+		k := rng.Intn(3)
+		from := genex.RandomPointed(rng, sch, 4+rng.Intn(6), 5+rng.Intn(10), k)
+		to := genex.RandomPointed(rng, sch, 3+rng.Intn(3), 14+rng.Intn(24), k)
+		if rng.Intn(2) == 0 {
+			img := make(map[instance.Value]instance.Value)
+			for _, v := range from.I.Dom() {
+				img[v] = instance.Value(fmt.Sprintf("n%d", rng.Intn(3)))
+			}
+			for _, f := range from.I.Facts() {
+				if err := to.I.AddFact(f.Rel, f.Map(img).Args...); err != nil {
+					panic(err)
+				}
+			}
+			for i, a := range from.Tuple {
+				to.Tuple[i] = img[a]
+			}
+		}
+		pinned := make(map[instance.Value]instance.Value)
+		ok := true
+		for i, a := range from.Tuple {
+			b := to.Tuple[i]
+			if prev, dup := pinned[a]; (dup && prev != b) || !to.I.InDom(b) {
+				ok = false
+				break
+			}
+			pinned[a] = b
+		}
+		if ok {
+			return Build(context.Background(), from.I, to.I, pinned)
+		}
+	}
+}
+
+// sameDomains fails the test when two searchers' domain words differ.
+func sameDomains(t *testing.T, what string, a, b *searcher) {
+	t.Helper()
+	for i := range a.dom {
+		if a.dom[i] != b.dom[i] {
+			t.Fatalf("%s: domain word %d is %#x, the full-pass reference has %#x", what, i, a.dom[i], b.dom[i])
+		}
+	}
+}
+
+// TestIncrementalGACMatchesFullPass is the property test for the
+// worklist propagator: on random searches, at the root and after each
+// step of a random sequence of assignments (and undos), the incremental
+// propagation reaches the reference's verdict and, when alive, its
+// domain words; Rep.ArcConsistent agrees with the reference's root
+// verdict, and a wipe-out leaves the queue empty.
+func TestIncrementalGACMatchesFullPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ctx := context.Background()
+	for iter := 0; iter < 1000; iter++ {
+		r := randomRep(rng)
+		inc, ref := r.newSearcher(ctx, r.init, nil), r.newSearcher(ctx, r.init, nil)
+		alive := ref.fullPassPropagate()
+		if got := inc.propagateAll(); got != alive {
+			t.Fatalf("iter %d: root propagation alive=%v, reference %v", iter, got, alive)
+		}
+		if got := r.ArcConsistent(ctx); got != alive {
+			t.Fatalf("iter %d: ArcConsistent=%v, reference %v", iter, got, alive)
+		}
+		if !alive {
+			continue
+		}
+		sameDomains(t, fmt.Sprintf("iter %d root", iter), inc, ref)
+		for step := 0; step < 24; step++ {
+			var open []int
+			for v := 0; v < r.nv; v++ {
+				if inc.count(v) > 1 {
+					open = append(open, v)
+				}
+			}
+			if len(open) == 0 {
+				break
+			}
+			v := open[rng.Intn(len(open))]
+			cands := inc.candidates(v, 0)
+			w := cands[rng.Intn(len(cands))]
+			mInc, mRef := inc.mark(), ref.mark()
+			before := append([]uint64(nil), ref.dom...)
+			inc.epoch++
+			ref.epoch++
+			inc.assign(v, w)
+			ref.assign(v, w)
+			what := fmt.Sprintf("iter %d step %d (var %d := %d)", iter, step, v, w)
+			alive := ref.fullPassPropagate()
+			if got := inc.propagateFrom(v); got != alive {
+				t.Fatalf("%s: alive=%v, reference %v", what, got, alive)
+			}
+			if inc.queueN != 0 {
+				t.Fatalf("%s: %d facts left queued", what, inc.queueN)
+			}
+			for fi, q := range inc.queued {
+				if q {
+					t.Fatalf("%s: fact %d still marked queued", what, fi)
+				}
+			}
+			if alive {
+				sameDomains(t, what, inc, ref)
+			}
+			if !alive || rng.Intn(4) == 0 {
+				inc.undo(mInc)
+				ref.undo(mRef)
+				sameDomains(t, what+" undone", inc, ref)
+				for i, w := range before {
+					if ref.dom[i] != w {
+						t.Fatalf("%s: undo left word %d at %#x, was %#x", what, i, ref.dom[i], w)
+					}
+				}
+			}
+		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // This file is the parallel splitter: the top levels of the
-// backtracking tree are expanded (with full GAC propagation) into a
-// deterministic list of prefix jobs — each a propagated domain snapshot
-// — which a bounded worker pool drains through a shared atomic cursor
+// backtracking tree are expanded (each child propagated to its GAC
+// fixpoint) into a deterministic list of prefix jobs — each a
+// propagated domain snapshot — which a bounded worker pool drains through a shared atomic cursor
 // (idle workers steal the next unclaimed prefix). Find is
 // first-witness-wins: the winner sets a stop flag every worker checks
 // at each node. FindAll buffers each prefix's answers and merges them
@@ -66,7 +66,7 @@ func (s *searcher) reset(state []uint64) {
 func (r *Rep) split(ctx context.Context, maxJobs int) (jobs [][]uint64, alive bool) {
 	s := r.newSearcher(ctx, r.init, nil)
 	defer s.release()
-	if !s.propagate() {
+	if !s.propagateAll() {
 		return nil, false
 	}
 	queue := [][]uint64{append([]uint64(nil), s.dom...)}
@@ -88,7 +88,7 @@ func (r *Rep) split(ctx context.Context, maxJobs int) (jobs [][]uint64, alive bo
 			m := s.mark()
 			s.epoch++
 			s.assign(v, w)
-			if s.propagate() {
+			if s.propagateFrom(v) {
 				children = append(children, append([]uint64(nil), s.dom...))
 			} else {
 				s.rec.Add(obs.CtrHomBacktracks, 1)

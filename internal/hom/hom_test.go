@@ -1,6 +1,8 @@
 package hom
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -86,6 +88,49 @@ func TestEqualityTypes(t *testing.T) {
 	iso := instance.NewPointed(instance.MustFromFacts(binR, instance.NewFact("R", "c", "d")), "z", "z")
 	if Exists(iso, to3) {
 		t.Error("repeated isolated tuple value cannot split across x,y")
+	}
+}
+
+// TestEqualityTypesPastPosition255 is the regression test for equality
+// types on wide relations: a fact's repeated positions are found by
+// position, and a position past 255 once wrapped to a smaller one. The
+// source is a triangle of R/arity facts R(x_i, x_{i+1}, …, x_{i+1}, z_i)
+// whose last argument is a variable of its own; the target is a renamed
+// copy, so the renaming is a homomorphism.
+func TestEqualityTypesPastPosition255(t *testing.T) {
+	for _, arity := range []int{256, 257, 300} {
+		sch := schema.MustNew(schema.Relation{Name: "R", Arity: arity})
+		from := instance.New(sch)
+		for i := 0; i < 3; i++ {
+			args := make([]instance.Value, arity)
+			args[0] = instance.Value(fmt.Sprintf("x%d", i))
+			for j := 1; j < arity-1; j++ {
+				args[j] = instance.Value(fmt.Sprintf("x%d", (i+1)%3))
+			}
+			args[arity-1] = instance.Value(fmt.Sprintf("z%d", i))
+			if err := from.AddFact("R", args...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		to := from.Rename("c.")
+		renaming := make(Assignment)
+		for _, v := range from.Dom() {
+			renaming[v] = "c." + v
+		}
+		if !validHom(from, to, renaming) {
+			t.Fatalf("arity %d: the renaming is not a homomorphism", arity)
+		}
+		src, dst := instance.NewPointed(from), instance.NewPointed(to)
+		for _, mode := range []DispatchMode{DispatchAuto, DispatchBacktrack} {
+			h, ok := FindCtx(WithDispatchMode(context.Background(), mode), src, dst)
+			if !ok {
+				t.Fatalf("arity %d, dispatch %d: no homomorphism found, yet the renaming is one", arity, mode)
+			}
+			checkWitness(t, src, dst, h)
+		}
+		if !ArcConsistent(src, dst) {
+			t.Fatalf("arity %d: arc consistency refuted a source that maps", arity)
+		}
 	}
 }
 

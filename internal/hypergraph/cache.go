@@ -7,10 +7,12 @@ import (
 	"extremalcq/internal/instance"
 )
 
-// DefaultCacheSize bounds a decomposition cache's entries. Entries are
-// small (a forest's int slices plus shared references to the
-// instance's facts), so a few thousand covers the working set of a
-// busy engine.
+// DefaultCacheSize bounds a decomposition cache's entries. An acyclic
+// source's entry holds its hypergraph, which shares the instance's
+// facts and so keeps them (and their value strings) alive until the
+// entry is evicted, plus the forest's int slices; a cyclic source's
+// entry holds the verdict alone. A few thousand entries cover the
+// working set of a busy engine.
 const DefaultCacheSize = 4096
 
 // Cache memoizes acyclicity verdicts and join forests per instance
@@ -24,9 +26,12 @@ type Cache struct {
 	cap int
 }
 
+// cacheEntry is one probe verdict. hg and forest are nil when the
+// source is cyclic: dispatch reads them only for acyclic sources, and a
+// cyclic source's hypergraph would pin its facts for nothing.
 type cacheEntry struct {
 	hg      *Hypergraph
-	forest  *Forest // nil when cyclic
+	forest  *Forest
 	acyclic bool
 }
 
@@ -61,11 +66,12 @@ func (c *Cache) put(key string, e cacheEntry) {
 }
 
 // Probe decides whether the source of a hom search is α-acyclic and,
-// when it is, returns its hypergraph and join forest. The verdict is
-// memoized in the context-carried cache (see WithCache) keyed by the
-// instance's canonical fingerprint; the distinguished tuple does not
-// affect the structure, so all pointings of an instance share one
-// entry. Without a cache in ctx the decomposition runs every time.
+// when it is, returns its hypergraph and join forest (both nil when it
+// is not). The verdict is memoized in the context-carried cache (see
+// WithCache) keyed by the instance's canonical fingerprint; the
+// distinguished tuple does not affect the structure, so all pointings
+// of an instance share one entry. Without a cache in ctx the
+// decomposition runs every time.
 func Probe(ctx context.Context, p instance.Pointed) (*Hypergraph, *Forest, bool) {
 	c := cacheFrom(ctx)
 	var key string
@@ -77,6 +83,9 @@ func Probe(ctx context.Context, p instance.Pointed) (*Hypergraph, *Forest, bool)
 	}
 	hg := FromPointed(p)
 	forest, acyclic := Decompose(ctx, hg.Sets)
+	if !acyclic {
+		hg = nil
+	}
 	if c != nil {
 		c.put(key, cacheEntry{hg: hg, forest: forest, acyclic: acyclic})
 	}

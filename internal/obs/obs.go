@@ -94,6 +94,11 @@ const (
 	// CtrHomBacktracks counts exhausted candidate loops (dead ends).
 	CtrHomBacktracks
 	// CtrHomPrunings counts candidate values removed by GAC propagation.
+	// On a node whose propagation survives it is the size of the
+	// narrowing to the (unique) arc-consistent fixpoint; on a node that
+	// wipes out a domain, propagation stops at the first empty domain, so
+	// the count depends on the order facts were revised in and may differ
+	// between propagators that agree on every verdict, node and backtrack.
 	CtrHomPrunings
 	// CtrCoreRetractions counts successful retractions during coring.
 	CtrCoreRetractions
