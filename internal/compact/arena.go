@@ -5,11 +5,13 @@ import (
 	"sync"
 )
 
-// scratch is the reusable per-search buffer set: the flat domain word
-// array, the save-epoch array, the undo trail, the per-depth candidate
-// slices, and the propagation worklist with its queued flags and
-// support bitsets. One scratch serves one searcher at a time; the arena
-// recycles them across the memo-missed subproblems of an engine.
+// scratch is the reusable per-search buffer set: for the backtracker
+// the flat domain word array, the save-epoch array, the undo trail, the
+// per-depth candidate slices, and the propagation worklist with its
+// queued flags and support bitsets; for the join tree the alive words
+// and the cursors and solution vector. One scratch serves one search at
+// a time; the arena recycles them across the memo-missed subproblems of
+// an engine.
 type scratch struct {
 	dom    []uint64
 	saved  []uint64
@@ -18,6 +20,9 @@ type scratch struct {
 	queue  []uint32
 	queued []bool
 	sup    []uint64
+
+	alive    []uint64
+	joinInts []uint32
 }
 
 // Arena pools search scratch across searches. It is safe for

@@ -1,14 +1,11 @@
-// Package compact is the interned, cache-friendly representation of a
-// homomorphism search and the bitset backtracking engine that runs on
-// it: every search the join-tree evaluator does not serve, and the
-// arc-consistency test of Proposition 4.7, run here.
-//
-// Per search, source variables and target values are interned to dense
-// uint32 ids, target facts are stored per relation as CSR-style
-// adjacency arrays (one flat row array plus a per-(position,value)
-// row index), source facts index their variables and each variable
-// the facts it occurs in (a var→fact CSR), and candidate domains are
-// []uint64 bitsets with popcount-driven MRV ordering.
+// Package compact is the interned representation of a homomorphism
+// search and its two evaluators: the Yannakakis-style join tree for
+// α-acyclic sources (gyo.go, jointree.go), and the bitset backtracking
+// engine for every other search and for the arc-consistency test of
+// Proposition 4.7. Each instance is compiled once into a Form (form.go)
+// cached on the instance; a search's Rep points the source's facts at
+// the target's relations and seeds the candidate domains, []uint64
+// bitsets with popcount-driven MRV ordering.
 //
 // Propagation (generalized arc consistency) is incremental: the root
 // queues every source fact, an assignment queues only the assigned
@@ -22,18 +19,19 @@
 // array and unwind through a word-level trail instead of cloning it
 // per node, so a search node costs a few saved words.
 //
-// The search checks its context at every node and every revision (a
-// lock-free poll of its Done channel, then solve.Check), so deadlines
-// and cancellation unwind it promptly, and search-progress counters
-// (obs.CtrHomNodes etc.) go to the job's recorder. Scratch state is
-// reusable across searches via an Arena (see arena.go), and a single
-// giant check can be split across cores by the parallel driver (see
-// parallel.go).
+// The searches check their context at every node, revision and join
+// step (a lock-free poll of its Done channel, then solve.Check), so
+// deadlines and cancellation unwind them promptly, and search-progress
+// counters (obs.CtrHomNodes etc.) go to the job's recorder. Scratch
+// state is reusable across searches via an Arena (see arena.go), and a
+// single giant check can be split across cores by the parallel driver
+// (see parallel.go).
 package compact
 
 import (
 	"context"
 	"math/bits"
+	"slices"
 
 	"extremalcq/internal/instance"
 	"extremalcq/internal/obs"
@@ -56,6 +54,9 @@ type relData struct {
 	idxRows []uint32
 }
 
+// row returns the values of row i.
+func (rd *relData) row(i int) []uint32 { return rd.rows[i*rd.arity : (i+1)*rd.arity] }
+
 // cfact is one source fact: its args as interned variable ids and a
 // pointer to the target relation's data (nil when the target has no
 // facts of that relation — the search is then trivially unsatisfiable).
@@ -70,24 +71,19 @@ type cfact struct {
 }
 
 // Rep is the immutable compact form of one homomorphism search: the
-// interned problem shared by the sequential searcher and every parallel
-// worker. Build it once per (source, target) pair, then run Find or
-// FindAll; searcher scratch cycles through the arena carried by the
-// build context.
+// source's and the target's compiled forms, the source facts pointed at
+// their target relations, and the seeded domains. The sequential
+// searcher, every parallel worker and the join tree share it. Build it
+// once per (source, target) pair, then run Find or FindAll, or FindJoin
+// or FindAllJoin for an α-acyclic source; scratch cycles through the
+// arena carried by the build context.
 type Rep struct {
 	nv    int // number of source variables
 	nt    int // number of target values
 	words int // bitset words per variable domain
 
-	vars  []instance.Value // variable id -> source value
-	tvals []instance.Value // target id -> target value
-	facts []cfact
-	// varOff/varFacts form the var→fact CSR: the facts variable v occurs
-	// in, each once and in increasing order, are
-	// varFacts[varOff[v]:varOff[v+1]].
-	varOff   []uint32
-	varFacts []uint32
-	maxArity int // widest source fact: sizes a revision's support scratch
+	src, dst *Form
+	facts    []cfact
 	// init is the seeded domain array (pinned variables as singletons,
 	// the full target domain otherwise); searches copy it, never mutate.
 	init []uint64
@@ -95,171 +91,45 @@ type Rep struct {
 	arena *Arena
 }
 
-// Build interns the search (source instance, target instance, pinned
+// Build makes the search (source instance, target instance, pinned
 // images of distinguished elements inside the source's domain) into a
-// Rep. Validation — schemas, arities, equality types, pinned images in
+// Rep. It reads the source's and the target's compiled forms, compiling
+// an instance on its first search (see Form), and only points the
+// source facts at their target relations and seeds the domains.
+// Validation — equal schemas, arities, equality types, pinned images in
 // the target's domain — is the caller's job (hom.newSearch does it);
 // Build never fails, it only produces representations whose search
 // comes up empty. The arena carried by ctx (if any) supplies reusable
 // scratch.
 func Build(ctx context.Context, from, to *instance.Instance, pinned map[instance.Value]instance.Value) *Rep {
-	r := &Rep{arena: arenaFrom(ctx)}
-	r.vars = from.Dom()
-	r.tvals = to.Dom()
-	r.nv = len(r.vars)
-	r.nt = len(r.tvals)
-	r.words = (r.nt + 63) / 64
-	if r.words == 0 {
-		r.words = 1
-	}
-
-	varID := make(map[instance.Value]uint32, r.nv)
-	for i, v := range r.vars {
-		varID[v] = uint32(i)
-	}
-	tID := make(map[instance.Value]uint32, r.nt)
-	for i, w := range r.tvals {
-		tID[w] = uint32(i)
-	}
-
-	// Target relations, built lazily per relation symbol the source uses.
-	rels := make(map[string]*relData)
-	relOf := func(name string) *relData {
-		if rd, ok := rels[name]; ok {
-			return rd
-		}
-		fs := to.FactsOf(name)
-		if len(fs) == 0 {
-			rels[name] = nil
-			return nil
-		}
-		// One slab per relation: the rows, then the CSR index offsets, then
-		// the bucket lists.
-		ar, nrows := len(fs[0].Args), len(fs)
-		rowsEnd := ar * nrows
-		offEnd := rowsEnd + ar*r.nt + 1
-		slab := make([]uint32, offEnd+ar*nrows)
-		rd := &relData{arity: ar, nrows: nrows, rows: slab[:rowsEnd:rowsEnd],
-			idxOff: slab[rowsEnd:offEnd:offEnd], idxRows: slab[offEnd:]}
-		for row, g := range fs {
-			for p, a := range g.Args {
-				w := tID[a]
-				rd.rows[row*ar+p] = w
-				rd.idxOff[p*r.nt+int(w)+1]++
-			}
-		}
-		csrStarts(rd.idxOff)
-		for row := 0; row < nrows; row++ {
-			for p := 0; p < ar; p++ {
-				b := p*r.nt + int(rd.rows[row*ar+p])
-				rd.idxRows[rd.idxOff[b]] = uint32(row)
-				rd.idxOff[b]++
-			}
-		}
-		csrEnds(rd.idxOff)
-		rels[name] = rd
-		return rd
-	}
-
-	// Source facts. The equality types go in one slab; the args, then the
-	// var→fact offsets and lists, in another.
-	facts := from.Facts()
-	nargs := 0
-	for _, f := range facts {
-		nargs += len(f.Args)
-		r.maxArity = max(r.maxArity, len(f.Args))
-	}
-	firstPos := make([]uint32, nargs)
-	distinct, off := 0, 0
-	for _, f := range facts {
-		for j, a := range f.Args {
-			fp := j
-			for k := 0; k < j; k++ {
-				if f.Args[k] == a {
-					fp = k
-					break
-				}
-			}
-			firstPos[off+j] = uint32(fp)
-			if fp == j {
-				distinct++
-			}
-		}
-		off += len(f.Args)
-	}
-	offEnd := nargs + r.nv + 1
-	slab := make([]uint32, offEnd+distinct)
-	args := slab[:nargs:nargs]
-	r.varOff = slab[nargs:offEnd:offEnd]
-	r.varFacts = slab[offEnd:]
-	r.facts = make([]cfact, len(facts))
-	off = 0
-	for i, f := range facts {
-		end := off + len(f.Args)
-		cf := &r.facts[i]
-		cf.rel = relOf(f.Rel)
-		cf.args = args[off:end:end]
-		cf.firstPos = firstPos[off:end:end]
-		for j, a := range f.Args {
-			v := varID[a]
-			cf.args[j] = v
-			if cf.firstPos[j] == uint32(j) {
-				r.varOff[v+1]++
-			}
-		}
-		off = end
-	}
-	csrStarts(r.varOff)
+	src, dst := compile(from), compile(to)
+	r := &Rep{nv: len(src.vals), nt: len(dst.vals), words: max(1, (len(dst.vals)+63)/64),
+		src: src, dst: dst, facts: slices.Clone(src.facts), arena: arenaFrom(ctx)}
 	for i := range r.facts {
-		f := &r.facts[i]
-		for j, v := range f.args {
-			if f.firstPos[j] == uint32(j) {
-				r.varFacts[r.varOff[v]] = uint32(i)
-				r.varOff[v]++
-			}
+		r.facts[i].rel = dst.byRel[src.factRel[i]]
+	}
+
+	// Seed domains: the full target domain (the last word's tail
+	// masked), then a singleton for each pinned variable.
+	r.init = make([]uint64, r.nv*r.words)
+	for i := range r.init {
+		r.init[i] = ^uint64(0)
+	}
+	if tail := r.nt % 64; tail != 0 || r.nt == 0 {
+		for v := 1; v <= r.nv; v++ {
+			r.init[v*r.words-1] = (uint64(1) << tail) - 1
 		}
 	}
-	csrEnds(r.varOff)
-
-	// Seed domains: pinned variables get a singleton, the rest the full
-	// target domain (mask the last word's tail).
-	r.init = make([]uint64, r.nv*r.words)
-	for v := 0; v < r.nv; v++ {
-		d := r.init[v*r.words : (v+1)*r.words]
-		if b, ok := pinned[r.vars[v]]; ok {
-			w := tID[b] // caller validated b ∈ dom(to)
-			d[w/64] = uint64(1) << (w % 64)
-			continue
-		}
-		for i := range d {
-			d[i] = ^uint64(0)
-		}
-		if tail := r.nt % 64; tail != 0 || r.nt == 0 {
-			d[r.words-1] = (uint64(1) << tail) - 1
+	for a, b := range pinned {
+		if v, ok := slices.BinarySearch(src.vals, a); ok {
+			d := r.init[v*r.words : (v+1)*r.words]
+			clear(d)
+			if w, ok := slices.BinarySearch(dst.vals, b); ok { // the caller validated b ∈ dom(to)
+				d[w/64] = uint64(1) << (w % 64)
+			}
 		}
 	}
 	return r
-}
-
-// A CSR index is filled in place, with no cursor array: the counts go
-// in off[b+1], csrStarts turns them into bucket starts, the fill
-// appends bucket b's items at off[b] and advances it, and csrEnds shifts
-// the advanced cursors back, so bucket b spans items[off[b]:off[b+1]]
-// in fill order.
-
-// csrStarts prefix-sums the counts in off[1:], leaving off[b] at the
-// start of bucket b.
-func csrStarts(off []uint32) {
-	for b := 1; b < len(off); b++ {
-		off[b] += off[b-1]
-	}
-}
-
-// csrEnds restores the offsets after the fill advanced every cursor
-// off[b] to the end of bucket b, which is where bucket b+1 starts.
-func csrEnds(off []uint32) {
-	copy(off[1:], off[:len(off)-1])
-	off[0] = 0
 }
 
 // ToAssignment converts a solution (variable id -> target id) into the
@@ -267,7 +137,7 @@ func csrEnds(off []uint32) {
 func (r *Rep) ToAssignment(sol []uint32) map[instance.Value]instance.Value {
 	out := make(map[instance.Value]instance.Value, r.nv)
 	for v, w := range sol {
-		out[r.vars[v]] = r.tvals[w]
+		out[r.src.vals[v]] = r.dst.vals[w]
 	}
 	return out
 }
@@ -346,8 +216,7 @@ func (r *Rep) newSearcher(ctx context.Context, from []uint64, stop *stopFlag) *s
 	s.queue = resize(sc.queue, len(r.facts))
 	s.queued = resize(sc.queued, len(r.facts))
 	clear(s.queued)
-	s.sup = resize(sc.sup, r.maxArity*r.words)
-	*sc = scratch{}
+	s.sup = resize(sc.sup, r.src.maxArity*r.words)
 	s.parked = sc
 	return s
 }
@@ -357,9 +226,10 @@ func (s *searcher) release() {
 	if s.parked == nil {
 		return
 	}
-	*s.parked = scratch{dom: s.dom, saved: s.saved, trail: s.trail, cands: s.cands,
-		queue: s.queue, queued: s.queued, sup: s.sup}
-	s.r.arena.put(s.parked)
+	sc := s.parked
+	sc.dom, sc.saved, sc.trail, sc.cands = s.dom, s.saved, s.trail, s.cands
+	sc.queue, sc.queued, sc.sup = s.queue, s.queued, s.sup
+	s.r.arena.put(sc)
 	s.parked = nil
 }
 
@@ -374,10 +244,14 @@ func (s *searcher) domain(v int) []uint64 {
 // with a checkpoint per revision, ctx.Err took a quarter of cqfitd's CPU
 // on solve-1c, much of it contention between the workers of a split
 // search, which share one context.
-func (s *searcher) checkpoint() {
+func (s *searcher) checkpoint() { poll(s.ctx, s.done) }
+
+// poll calls solve.Check(ctx) once done, ctx's cached Done channel, is
+// closed.
+func poll(ctx context.Context, done <-chan struct{}) {
 	select {
-	case <-s.done:
-		solve.Check(s.ctx)
+	case <-done:
+		solve.Check(ctx)
 	default:
 	}
 }
@@ -555,7 +429,7 @@ func (s *searcher) pop() uint32 {
 // pushFactsOf queues every fact variable v occurs in, except skip.
 func (s *searcher) pushFactsOf(v int, skip uint32) {
 	r := s.r
-	for _, fi := range r.varFacts[r.varOff[v]:r.varOff[v+1]] {
+	for _, fi := range r.src.varFacts[r.src.varOff[v]:r.src.varOff[v+1]] {
 		if fi != skip {
 			s.push(fi)
 		}
@@ -808,12 +682,6 @@ func (r *Rep) ArcConsistent(ctx context.Context) bool {
 	defer s.release()
 	return s.propagateAll()
 }
-
-// NumVars returns the number of interned source variables.
-func (r *Rep) NumVars() int { return r.nv }
-
-// NumTargetValues returns the number of interned target values.
-func (r *Rep) NumTargetValues() int { return r.nt }
 
 // resize returns buf resized to n elements, reallocating only when the
 // capacity is short.

@@ -37,7 +37,6 @@ import (
 	"extremalcq/internal/compact"
 	"extremalcq/internal/fitting"
 	"extremalcq/internal/hom"
-	"extremalcq/internal/hypergraph"
 	"extremalcq/internal/instance"
 	"extremalcq/internal/obs"
 	"extremalcq/internal/store"
@@ -109,10 +108,8 @@ type Engine struct {
 	close sync.Once
 	start time.Time
 
-	// decomp memoizes hypergraph acyclicity verdicts and join forests
-	// per instance fingerprint; dispatch counts which hom-search path
-	// each probe selected. Both are engine-owned, like the memo.
-	decomp   *hypergraph.Cache
+	// dispatch counts which hom-search path each probe selected;
+	// engine-owned, like the memo.
 	dispatch hom.DispatchStats
 
 	// universes caches the compiled candidate universes of the weakly
@@ -280,7 +277,6 @@ func New(opts Options) *Engine {
 		rootCancel: rootCancel,
 		flights:    make(map[string]*flight),
 		tasks:      make(map[string]*taskAgg),
-		decomp:     hypergraph.NewCache(0),
 		universes:  universe.NewCache(),
 		arena:      compact.NewArena(),
 		jobDur:     obs.NewHistogram(),
@@ -750,15 +746,14 @@ func withEngineCaches(ctx context.Context, m *Memo) context.Context {
 }
 
 // solverContext attaches every piece of engine-owned solver state to a
-// job's context: the memo (when enabled), the hypergraph decomposition
-// cache, the compiled candidate universes, the dispatch-path counters,
-// and the compact-search arena and worker budget. ForceBacktrack pins
+// job's context: the memo (when enabled), the compiled candidate
+// universes, the dispatch-path counters, and the compact-search arena
+// and worker budget. ForceBacktrack pins
 // the hom dispatch mode so the join-tree fast path never engages.
 func (e *Engine) solverContext(ctx context.Context) context.Context {
 	if e.memo != nil {
 		ctx = withEngineCaches(ctx, e.memo)
 	}
-	ctx = hypergraph.WithCache(ctx, e.decomp)
 	ctx = universe.WithCache(ctx, e.universes)
 	ctx = hom.WithDispatchStats(ctx, &e.dispatch)
 	if e.opts.ForceBacktrack {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"extremalcq/internal/hom"
 	"extremalcq/internal/instance"
 	"extremalcq/internal/obs"
 	"extremalcq/internal/store"
@@ -199,7 +198,7 @@ func (m *Memo) PutHom(ctx context.Context, k instance.PairDigest, exists bool) {
 	sh.hom[k] = exists
 	sh.mu.Unlock()
 	if m.spill != nil {
-		m.spill.save(store.KindHom, k[:], hom.EncodeMemoEntry(exists))
+		m.spill.save(store.KindHom, k[:], homRecords[exists])
 	}
 }
 

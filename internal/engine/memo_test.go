@@ -245,6 +245,47 @@ func TestMemoAllocs(t *testing.T) {
 	}
 }
 
+// TestMemoAllocsSpilledMiss pins a memo miss with spill on: the fault-in
+// probe that misses the store builds its kind-prefixed key on the stack
+// and looks it up without allocating, and the spilled verdict shares
+// one of two records, so the Get and the Put allocate at most once, for
+// the write-behind record's key.
+func TestMemoAllocsSpilledMiss(t *testing.T) {
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var keys []instance.PairDigest
+	for _, a := range benchPointed(t, 16) {
+		a.I.BuildIndexes()
+		keys = append(keys, instance.DigestPair(a, a))
+	}
+	m := NewMemo(len(keys) / 4)
+	spilled := 0
+	m.spill = &spillSink{store: st, enqueue: func(w storeWrite) bool {
+		spilled++
+		return true
+	}}
+	bg, i := context.Background(), 0
+	miss := func() {
+		k := keys[i%len(keys)]
+		i++
+		if _, ok := m.GetHom(bg, k); !ok {
+			m.PutHom(bg, k, i%2 == 0)
+		}
+	}
+	for range keys {
+		miss()
+	}
+	if n := testing.AllocsPerRun(len(keys), miss); n > 1 {
+		t.Errorf("a spilled memo miss allocates %.2f per Get and Put, want at most 1", n)
+	}
+	if s := m.Stats(); s.HomMisses < int64(len(keys)) || spilled < len(keys) {
+		t.Fatalf("the miss loop missed %d times and spilled %d; it measures hits", s.HomMisses, spilled)
+	}
+}
+
 // streamedDigest is the memo's key for one pointed instance as stores
 // written before its array keys hashed it: the instance digest, the
 // tuple length, then each length-prefixed tuple value, streamed into
@@ -379,7 +420,7 @@ func TestMemoSpillReadsWitnessStore(t *testing.T) {
 		{streamedDigest(a) + streamedDigest(b), false},
 		{streamedDigest(prod) + streamedDigest(b), true},
 	} {
-		val, ok := st.Probe(store.KindHom, want.key)
+		val, ok := st.Probe(store.KindHom, []byte(want.key))
 		if !ok {
 			t.Fatalf("no hom record under the older key (exists %v)", want.exists)
 		}

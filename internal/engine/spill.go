@@ -90,7 +90,7 @@ func (s *spillSink) stats() SpillStats {
 // on one key may each load the record, but only the goroutine that
 // installs it counts a fault.
 func (s *spillSink) loadHom(key []byte) (exists, ok bool) {
-	val, ok := s.store.Probe(store.KindHom, string(key))
+	val, ok := s.store.Probe(store.KindHom, key)
 	if !ok {
 		return false, false
 	}
@@ -108,7 +108,7 @@ func (s *spillSink) loadHom(key []byte) (exists, ok bool) {
 // Like loadHom it probes and decodes without counting — the installer
 // counts.
 func (s *spillSink) loadPointed(kind byte, key []byte) (instance.Pointed, []byte, bool) {
-	val, ok := s.store.Probe(kind, string(key))
+	val, ok := s.store.Probe(kind, key)
 	if !ok {
 		return instance.Pointed{}, nil, false
 	}
@@ -132,9 +132,15 @@ func (s *spillSink) countFault(kind byte) {
 	}
 }
 
+// homRecords holds the two hom verdict records, encoded once: the
+// write-behind queue and the store only read a record, so every spilled
+// verdict shares one.
+var homRecords = map[bool][]byte{false: hom.EncodeMemoEntry(false), true: hom.EncodeMemoEntry(true)}
+
 // save enqueues an encoded memo entry for persistence under the key's
 // bytes; val is a hom verdict record, or a core's or product's stored
-// bytes, which nothing mutates.
+// bytes, which nothing mutates. The record's key string is the one
+// allocation of a spilled miss.
 func (s *spillSink) save(kind byte, key, val []byte) {
 	if s.enqueue(storeWrite{kind: kind, key: string(key), val: val}) {
 		s.spilled.Add(1)

@@ -7,16 +7,19 @@ import (
 
 	"extremalcq/internal/fitting"
 	"extremalcq/internal/genex"
+	"extremalcq/internal/instance"
 	"extremalcq/internal/obs"
 	"extremalcq/internal/store"
 )
 
-// tracedHardJob is a deliberately hard traced job: the 5-prime cycle
-// existence check runs a single hom search over a 1275-element product
-// for hundreds of milliseconds, with real GAC prunings along the way.
+// tracedHardJob is a deliberately hard traced job: the existence check
+// with K8 as its positive and K7 as its negative is one refuting hom
+// search, K8 → K7, of 3,620 nodes (pigeonhole: GAC prunes along the way
+// but cannot refute it early), in tens of milliseconds. The clique is
+// cyclic, so the search is the backtracker's.
 func tracedHardJob(t *testing.T) Job {
 	t.Helper()
-	pos, neg := genex.PrimeCycleFamily(5)
+	pos, neg := []instance.Pointed{genex.Clique(8)}, []instance.Pointed{genex.Clique(7)}
 	e := fitting.MustExamples(genex.SchemaR(), 0, pos, neg)
 	return Job{Kind: KindCQ, Task: TaskExists, Examples: e, Trace: true}
 }

@@ -4,8 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"extremalcq/internal/compact"
 	"extremalcq/internal/hom"
-	"extremalcq/internal/hypergraph"
 )
 
 // TestParityFamily checks the family delivers exactly the properties
@@ -24,7 +24,7 @@ func TestParityFamily(t *testing.T) {
 		if got := chain.I.Size(); got != n+2 {
 			t.Fatalf("chain n=%d has %d facts, want %d", n, got, n+2)
 		}
-		if _, _, acyclic := hypergraph.Probe(ctx, chain); !acyclic {
+		if !compact.Acyclic(ctx, chain.I) {
 			t.Errorf("ParityChain(%d) must be α-acyclic", n)
 		}
 		if hom.Exists(chain, target) {
@@ -33,7 +33,7 @@ func TestParityFamily(t *testing.T) {
 	}
 	for n := 2; n <= 5; n++ {
 		cycle := ParityCycle(n)
-		if _, _, acyclic := hypergraph.Probe(ctx, cycle); acyclic {
+		if compact.Acyclic(ctx, cycle.I) {
 			t.Errorf("ParityCycle(%d) must be cyclic", n)
 		}
 		if hom.Exists(cycle, target) {

@@ -2,18 +2,19 @@ package hom
 
 import (
 	"context"
+	"runtime"
 	"sync/atomic"
 
-	"extremalcq/internal/hypergraph"
-	"extremalcq/internal/instance"
+	"extremalcq/internal/compact"
 	"extremalcq/internal/obs"
 )
 
-// This file is the structure-aware dispatch in front of the hom search:
-// sources whose query hypergraph is α-acyclic are solved by the
-// Yannakakis-style join-tree evaluator in internal/hypergraph, all
-// others fall back to the generic GAC backtracking search. Dispatch
-// sits below the memo cache, so cached entries are path-independent.
+// This file is the structure-aware dispatch in front of the hom search.
+// Both evaluators run in internal/compact, on the compiled forms of the
+// source and the target: sources whose query hypergraph is α-acyclic
+// take the Yannakakis-style join tree, all others the GAC backtracking
+// core. Dispatch sits below the memo cache, so cached entries are
+// path-independent.
 
 // DispatchMode selects how the hom search routes between the join-tree
 // fast path and the backtracking search.
@@ -44,6 +45,7 @@ func (d *DispatchStats) Snapshot() (jointree, backtrack int64) {
 
 type dispatchModeKey struct{}
 type dispatchStatsKey struct{}
+type searchWorkersKey struct{}
 
 // WithDispatchMode returns a context carrying the dispatch mode for hom
 // searches under it.
@@ -77,73 +79,87 @@ func dispatchStatsFrom(ctx context.Context) *DispatchStats {
 	return d
 }
 
-// probeJoinTree decides the dispatch path for this search. When the
-// source is α-acyclic (and the mode allows it), it returns the
-// hypergraph and join forest to evaluate over; otherwise acyclic=false
-// routes the caller to the backtracking search. The probe itself is
-// memoized per instance fingerprint (see hypergraph.Probe), so on a hot
-// engine it is one cache lookup.
-func (s *search) probeJoinTree() (hg *hypergraph.Hypergraph, fo *hypergraph.Forest, acyclic bool) {
-	stats := dispatchStatsFrom(s.ctx)
-	if dispatchModeFrom(s.ctx) == DispatchBacktrack {
+// WithSearchWorkers returns a context under which backtracking searches
+// fan the top of the search tree out to up to n workers. n <= 0 means
+// GOMAXPROCS. Without this key searches run single-threaded, which
+// keeps bare library calls deterministic; the engine sets it from
+// Options.SearchWorkers.
+func WithSearchWorkers(ctx context.Context, n int) context.Context {
+	return context.WithValue(ctx, searchWorkersKey{}, n)
+}
+
+func searchWorkersFrom(ctx context.Context) int {
+	if ctx == nil {
+		return 1
+	}
+	n, ok := ctx.Value(searchWorkersKey{}).(int)
+	if !ok {
+		return 1
+	}
+	if n <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return n
+}
+
+// joinTree decides the dispatch path for this search and counts it:
+// true when the mode allows the join tree and the source is α-acyclic.
+// The acyclicity probe runs under its own phase span; its verdict is
+// memoized on the source's compiled form, so on a hot source it is one
+// load.
+func (s *search) joinTree() bool {
+	jt := dispatchModeFrom(s.ctx) != DispatchBacktrack && s.acyclic()
+	if jt {
+		s.rec.Add(obs.CtrDispatchJoinTree, 1)
+	} else {
 		s.rec.Add(obs.CtrDispatchBacktrack, 1)
-		if stats != nil {
+	}
+	if stats := dispatchStatsFrom(s.ctx); stats != nil {
+		if jt {
+			stats.jointree.Add(1)
+		} else {
 			stats.backtrack.Add(1)
 		}
-		return nil, nil, false
 	}
-	hg, fo, acyclic = s.decompose()
-	if acyclic {
-		s.rec.Add(obs.CtrDispatchJoinTree, 1)
-		if stats != nil {
-			stats.jointree.Add(1)
-		}
-		return hg, fo, true
-	}
-	s.rec.Add(obs.CtrDispatchBacktrack, 1)
-	if stats != nil {
-		stats.backtrack.Add(1)
-	}
-	return nil, nil, false
+	return jt
 }
 
-// decompose runs the (memoized) acyclicity probe under its own phase
-// span, so decomposition time is attributed separately from evaluation.
-func (s *search) decompose() (*hypergraph.Hypergraph, *hypergraph.Forest, bool) {
+func (s *search) acyclic() bool {
 	sp := s.rec.StartSpan(obs.PhaseHypergraphDecompose)
 	defer sp.End()
-	return hypergraph.Probe(s.ctx, s.from)
+	return compact.Acyclic(s.ctx, s.from.I)
 }
 
-// solveJoinTree finds one homomorphism via the semi-join evaluator and
-// merges the fixed images of distinguished elements outside adom(from),
-// matching solveCompact's result shape exactly.
-func (s *search) solveJoinTree(hg *hypergraph.Hypergraph, fo *hypergraph.Forest) (Assignment, bool) {
-	sp := s.rec.StartSpan(obs.PhaseSemijoin)
-	defer sp.End()
-	h, ok := hypergraph.Solve(s.ctx, hg, fo, s.to.I, s.pinned)
-	if !ok {
-		return nil, false
+// find returns one solution through the dispatched evaluator.
+func (s *search) find() ([]uint32, bool) {
+	if s.joinTree() {
+		sp := s.rec.StartSpan(obs.PhaseSemijoin)
+		defer sp.End()
+		return s.rep.FindJoin(s.ctx)
 	}
-	res := Assignment(h)
-	for a, b := range s.fixed {
-		res[a] = b
-	}
-	return res, true
+	return s.rep.Find(s.ctx, searchWorkersFrom(s.ctx))
 }
 
-// enumerateJoinTree yields every homomorphism via the semi-join
-// evaluator, merging fixed images into each answer, matching
-// enumerateCompact's yield contract (including early stop on
-// yield=false).
-func (s *search) enumerateJoinTree(hg *hypergraph.Hypergraph, fo *hypergraph.Forest, yield func(Assignment) bool) {
-	sp := s.rec.StartSpan(obs.PhaseSemijoin)
-	defer sp.End()
-	hypergraph.Enumerate(s.ctx, hg, fo, s.to.I, s.pinned, func(h map[instance.Value]instance.Value) bool {
-		a := Assignment(h)
-		for k, b := range s.fixed {
-			a[k] = b
-		}
-		return yield(a)
-	})
+// findAll yields every solution through the dispatched evaluator. The
+// backtracker's order is deterministic for a fixed worker count and, by
+// the splitter's prefix-ordered merge, identical across worker counts.
+func (s *search) findAll(yield func([]uint32) bool) {
+	if s.joinTree() {
+		sp := s.rec.StartSpan(obs.PhaseSemijoin)
+		defer sp.End()
+		s.rep.FindAllJoin(s.ctx, yield)
+		return
+	}
+	s.rep.FindAll(s.ctx, searchWorkersFrom(s.ctx), yield)
+}
+
+// assignment converts a solution into the value-level assignment the
+// hom layer returns, with the fixed images of distinguished elements
+// outside adom(from) merged in.
+func (s *search) assignment(sol []uint32) Assignment {
+	a := Assignment(s.rep.ToAssignment(sol))
+	for k, b := range s.fixed {
+		a[k] = b
+	}
+	return a
 }

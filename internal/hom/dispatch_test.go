@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"extremalcq/internal/compact"
 	"extremalcq/internal/genex"
-	"extremalcq/internal/hypergraph"
 	"extremalcq/internal/instance"
 )
 
@@ -103,7 +103,7 @@ func TestDispatchAgreementRandom(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		from := genex.RandomPointed(rng, sch, 4, 2+rng.Intn(5), rng.Intn(2))
 		to := genex.RandomPointed(rng, sch, 3, 2+rng.Intn(7), from.Arity())
-		if _, _, acyclic := hypergraph.Probe(context.Background(), from); acyclic {
+		if compact.Acyclic(context.Background(), from.I) {
 			acyclicSeen++
 		} else {
 			cyclicSeen++
@@ -159,7 +159,7 @@ func TestDispatchCounters(t *testing.T) {
 // yield=false, mirroring the backtracking contract.
 func TestJoinTreeEarlyStop(t *testing.T) {
 	from, to := genex.DirectedPath(2), genex.DirectedCycle(4)
-	if _, _, acyclic := hypergraph.Probe(context.Background(), from); !acyclic {
+	if !compact.Acyclic(context.Background(), from.I) {
 		t.Fatal("setup: path must be acyclic")
 	}
 	seen := 0

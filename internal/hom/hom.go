@@ -61,10 +61,11 @@ func FindCtx(ctx context.Context, from, to instance.Pointed) (Assignment, bool) 
 	if !ok {
 		return nil, false
 	}
-	if hg, forest, acyclic := s.probeJoinTree(); acyclic {
-		return s.solveJoinTree(hg, forest)
+	sol, ok := s.find()
+	if !ok {
+		return nil, false
 	}
-	return s.solveCompact()
+	return s.assignment(sol), true
 }
 
 // FindAll enumerates homomorphisms from 'from' to 'to', invoking yield
@@ -87,11 +88,7 @@ func FindAllCtx(ctx context.Context, from, to instance.Pointed, yield func(Assig
 	if !ok {
 		return
 	}
-	if hg, forest, acyclic := s.probeJoinTree(); acyclic {
-		s.enumerateJoinTree(hg, forest, yield)
-		return
-	}
-	s.enumerateCompact(yield)
+	s.findAll(func(sol []uint32) bool { return yield(s.assignment(sol)) })
 }
 
 // Equivalent reports homomorphic equivalence: from → to and to → from.
@@ -145,22 +142,25 @@ func ExistsToAllCtx(ctx context.Context, from instance.Pointed, ts []instance.Po
 	return true
 }
 
-// search is one validated homomorphism problem: the inputs plus the
+// search is one validated homomorphism problem: the inputs, the
 // required images of the distinguished elements, split by whether they
 // occur in adom(from) (pinned, seeding the solver's domains) or not
-// (fixed, merged into every answer).
+// (fixed, merged into every answer), and the compact form both
+// evaluators run on.
 type search struct {
-	ctx      context.Context
-	rec      *obs.Recorder // job trace recorder (nil when untraced)
-	from, to instance.Pointed
-	pinned   Assignment // distinguished elements inside adom(from)
-	fixed    Assignment // distinguished elements outside adom(from)
+	ctx    context.Context
+	rec    *obs.Recorder // job trace recorder (nil when untraced)
+	from   instance.Pointed
+	pinned Assignment // distinguished elements inside adom(from)
+	fixed  Assignment // distinguished elements outside adom(from)
+	rep    *compact.Rep
 }
 
 // newSearch checks that schemas and arities match, that the
 // distinguished tuple is consistent (h is a function, so repeated
 // source values need equal targets), and that every pinned image lies
-// in adom(to). ok=false means no homomorphism can exist.
+// in adom(to), then builds the compact form. ok=false means no
+// homomorphism can exist.
 func newSearch(ctx context.Context, from, to instance.Pointed) (*search, bool) {
 	if !from.I.Schema().Equal(to.I.Schema()) || from.Arity() != to.Arity() {
 		return nil, false
@@ -169,7 +169,6 @@ func newSearch(ctx context.Context, from, to instance.Pointed) (*search, bool) {
 		ctx:    ctx,
 		rec:    obs.FromContext(ctx),
 		from:   from,
-		to:     to,
 		pinned: make(Assignment),
 		fixed:  make(Assignment),
 	}
@@ -188,6 +187,7 @@ func newSearch(ctx context.Context, from, to instance.Pointed) (*search, bool) {
 		}
 		m[a] = b
 	}
+	s.rep = compact.Build(ctx, from.I, to.I, s.pinned)
 	return s, true
 }
 
@@ -204,5 +204,5 @@ func ArcConsistent(from, to instance.Pointed) bool {
 	if !ok {
 		return false
 	}
-	return compact.Build(ctx, from.I, to.I, s.pinned).ArcConsistent(ctx)
+	return s.rep.ArcConsistent(ctx)
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"extremalcq/internal/schema"
 )
@@ -115,6 +116,9 @@ type Instance struct {
 	byRelPos map[string][]map[Value][]Fact // rel -> position -> value -> facts
 	byVal    map[Value][]Fact
 	fp       string // memoized canonical digest (see Fingerprint)
+	// compiled holds the instance's compiled search form (see
+	// Compiled), cleared by invalidate.
+	compiled atomic.Value
 }
 
 // New returns an empty instance over the schema.
@@ -194,6 +198,22 @@ func (in *Instance) invalidate() {
 	in.byRelPos = nil
 	in.byVal = nil
 	in.fp = ""
+	in.compiled = atomic.Value{}
+}
+
+// Compiled returns the compiled search form cached on the instance
+// since its last mutation, or nil.
+func (in *Instance) Compiled() any { return in.compiled.Load() }
+
+// SetCompiled caches c as the instance's compiled search form unless
+// one is cached already, and returns the cached form: concurrent first
+// searches keep one form, and a mutation drops it. internal/compact
+// owns the form's type; the instance only holds it.
+func (in *Instance) SetCompiled(c any) any {
+	if in.compiled.CompareAndSwap(nil, c) {
+		return c
+	}
+	return in.compiled.Load()
 }
 
 // Has reports whether the fact is present.
@@ -233,12 +253,6 @@ func (in *Instance) Facts() []Fact {
 		out = append(out, in.facts[k])
 	}
 	return out
-}
-
-// FactsOf returns the facts of relation rel (deterministic order).
-func (in *Instance) FactsOf(rel string) []Fact {
-	in.buildByRel()
-	return in.byRel[rel]
 }
 
 // FactsWith returns the facts of rel whose position pos holds value v.

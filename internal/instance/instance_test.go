@@ -55,9 +55,6 @@ func TestDomAndIndexes(t *testing.T) {
 	if !in.InDom("a") || in.InDom("z") {
 		t.Error("InDom misreports")
 	}
-	if got := len(in.FactsOf("R")); got != 1 {
-		t.Errorf("FactsOf(R) = %d", got)
-	}
 	if got := len(in.FactsWith("R", 0, "a")); got != 1 {
 		t.Errorf("FactsWith(R,0,a) = %d", got)
 	}

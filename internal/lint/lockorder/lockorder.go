@@ -27,7 +27,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc: `mutex acquisition order must be globally acyclic
 
-Within the serving packages (engine, store, enum, hypergraph, obs)
+Within the serving packages (engine, store, enum, obs, universe)
 every function's lock acquisitions are tracked flow-sensitively over
 its control-flow graph: acquiring lock B while holding lock A records
 the edge A→B. Edges are exported as package facts and combined across

@@ -15,17 +15,16 @@ import (
 // unboundedly must reach a cancellation checkpoint (PR 2), and no
 // package-level mutable state is allowed (multi-tenant isolation).
 var solverPackages = map[string]bool{
-	"hom":        true,
-	"tree":       true,
-	"fitting":    true,
-	"frontier":   true,
-	"ucqfit":     true,
-	"duality":    true,
-	"instance":   true,
-	"genex":      true,
-	"hypergraph": true,
-	"compact":    true, // bitset search core: worker loops must checkpoint, workers must join
-	"universe":   true, // compiled candidate universes: walk and replay loops must checkpoint
+	"hom":      true,
+	"tree":     true,
+	"fitting":  true,
+	"frontier": true,
+	"ucqfit":   true,
+	"duality":  true,
+	"instance": true,
+	"genex":    true,
+	"compact":  true, // hom search core: GYO, join-tree and worker loops must checkpoint, workers must join
+	"universe": true, // compiled candidate universes: walk and replay loops must checkpoint
 }
 
 // lockedIOPackages are the packages where holding a mutex across
@@ -39,19 +38,18 @@ var lockedIOPackages = map[string]bool{
 
 // lockOrderPackages are the packages carrying the named mutexes of
 // the serving stack (the engine's five locks, the store mutex, the
-// memo shards, the decomposition cache, the trace recorder): lockorder
-// tracks acquisition order across all of them, and goroleak treats
-// them — together with the solver packages — as goroutine owners.
+// memo shards, the trace recorder): lockorder tracks acquisition order
+// across all of them, and goroleak treats them — together with the
+// solver packages — as goroutine owners.
 // enum carries no mutex today; it is in scope so one growing a lock
 // is checked from its first commit. universe carries the compiled
 // universe cache's mutex.
 var lockOrderPackages = map[string]bool{
-	"engine":     true,
-	"store":      true,
-	"enum":       true,
-	"hypergraph": true,
-	"obs":        true,
-	"universe":   true,
+	"engine":   true,
+	"store":    true,
+	"enum":     true,
+	"obs":      true,
+	"universe": true,
 }
 
 // errFlowPackages are the packages on the durability path, where a

@@ -44,7 +44,8 @@ const (
 	// general searches, UCQ disjunct enumeration, tree search).
 	PhaseEnum
 	// PhaseHypergraphDecompose covers one structure probe of a hom
-	// search's source: hypergraph construction plus GYO reduction.
+	// search's source: GYO reduction over its compiled form on first
+	// probe, a load of the memoized verdict after.
 	PhaseHypergraphDecompose
 	// PhaseSemijoin covers one Yannakakis semi-join evaluation over a
 	// join forest (the acyclic hom-search fast path).

@@ -129,15 +129,22 @@ func (s *Schema) Binary() bool {
 	return true
 }
 
-// Equal reports whether two schemas have the same relations and arities.
+// Equal reports whether two schemas have the same relations and
+// arities. It allocates nothing, and one schema equals itself at once:
+// every hom search asks.
 func (s *Schema) Equal(t *Schema) bool {
+	if s == t {
+		return true
+	}
 	if s.Len() != t.Len() {
 		return false
 	}
-	for _, n := range s.Names() {
-		a1, _ := s.Arity(n)
-		a2, ok := t.Arity(n)
-		if !ok || a1 != a2 {
+	if s.Len() == 0 {
+		return true
+	}
+	for _, n := range s.names {
+		a2, ok := t.arities[n]
+		if !ok || s.arities[n] != a2 {
 			return false
 		}
 	}

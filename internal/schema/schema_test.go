@@ -123,3 +123,27 @@ func TestString(t *testing.T) {
 		t.Errorf("String = %q", str)
 	}
 }
+
+// TestEqualAllocs checks that Equal allocates nothing, whether both
+// sides are one *Schema or two equal ones, and stays nil-safe.
+func TestEqualAllocs(t *testing.T) {
+	a := MustNew(Relation{"R", 2}, Relation{"P", 1}, Relation{"T", 3})
+	b := MustNew(Relation{"T", 3}, Relation{"R", 2}, Relation{"P", 1})
+	if !a.Equal(b) || !b.Equal(a) {
+		t.Fatal("equal schemas read unequal")
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Equal(a) }); n != 0 {
+		t.Errorf("Equal on one schema allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Equal(b) }); n != 0 {
+		t.Errorf("Equal on two equal schemas allocates %.0f times, want 0", n)
+	}
+	var nilSchema *Schema
+	empty := MustNew()
+	if !nilSchema.Equal(empty) || !empty.Equal(nilSchema) || !nilSchema.Equal(nil) {
+		t.Error("a nil schema must equal the empty schema")
+	}
+	if nilSchema.Equal(a) || a.Equal(nilSchema) {
+		t.Error("a nil schema must not equal a non-empty one")
+	}
+}

@@ -557,7 +557,8 @@ func (s *Store) Get(key string) ([]byte, bool) {
 // GetKind returns the newest value stored for key under the given
 // record kind, counting the lookup in the store's hit/miss stats.
 func (s *Store) GetKind(kind byte, key string) ([]byte, bool) {
-	val, ok := s.lookup(kind, key)
+	var buf [lookupKeyBuf]byte
+	val, ok := s.lookup(append(append(buf[:0], kind), key...))
 	if ok {
 		s.hits.Add(1)
 	} else {
@@ -566,32 +567,40 @@ func (s *Store) GetKind(kind byte, key string) ([]byte, bool) {
 	return val, ok
 }
 
-// Probe is GetKind without touching the hit/miss counters. It exists
-// for cache layers that keep their own counters and probe the store on
-// every one of their misses (the engine's memo fault-in): routing those
-// probes through GetKind would drown the result-lookup hit rate the
-// stats exist to report.
-func (s *Store) Probe(kind byte, key string) ([]byte, bool) {
-	return s.lookup(kind, key)
+// Probe is GetKind without touching the hit/miss counters, keyed by the
+// key's bytes. It exists for cache layers that keep their own counters
+// and probe the store on every one of their misses (the engine's memo
+// fault-in): routing those probes through GetKind would drown the
+// result-lookup hit rate the stats exist to report. A probe that misses
+// allocates nothing.
+func (s *Store) Probe(kind byte, key []byte) ([]byte, bool) {
+	var buf [lookupKeyBuf]byte
+	return s.lookup(append(append(buf[:0], kind), key...))
 }
 
-// lookup resolves and reads the newest record for (kind, key). The
-// reference is resolved under the lock but the disk read runs outside
-// it, so concurrent warm-path lookups never serialize on each other's
-// I/O. A read racing an eviction or compaction that retired its file
-// sees a closed-file error and degrades to a miss (the answer is merely
-// recomputed); records are immutable once written, so a successful read
-// is always coherent. The read is verified against the record's CRC; a
-// record that fails verification (bit rot since Open) is treated as a
-// miss and dropped from the index.
-func (s *Store) lookup(kind byte, key string) ([]byte, bool) {
-	ikey := indexKey(kind, key)
+// lookupKeyBuf sizes the stack buffer GetKind and Probe build a
+// lookup's index key (see indexKey) in: the kind byte and a key of up
+// to 64 bytes, such as a memo's pair digest. A longer key spills to the
+// heap and finds the same record.
+const lookupKeyBuf = 1 + 64
+
+// lookup resolves and reads the newest record under ikey, a
+// kind-prefixed index key (see indexKey). The reference is resolved
+// under the lock but the disk read runs outside it, so concurrent
+// warm-path lookups never serialize on each other's I/O. A read racing
+// an eviction or compaction that retired its file sees a closed-file
+// error and degrades to a miss (the answer is merely recomputed);
+// records are immutable once written, so a successful read is always
+// coherent. The read is verified against the record's CRC; a record
+// that fails verification (bit rot since Open) is treated as a miss and
+// dropped from the index.
+func (s *Store) lookup(ikey []byte) ([]byte, bool) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, false
 	}
-	ref, ok := s.index[ikey]
+	ref, ok := s.index[string(ikey)]
 	if !ok {
 		s.mu.Unlock()
 		return nil, false
@@ -605,7 +614,7 @@ func (s *Store) lookup(kind byte, key string) ([]byte, bool) {
 	}
 	payload := buf[headerSize:]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(buf[4:8]) {
-		s.drop(ikey, ref)
+		s.drop(string(ikey), ref)
 		return nil, false
 	}
 	keyLen := int64(binary.LittleEndian.Uint16(payload[1:3]))
