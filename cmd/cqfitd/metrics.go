@@ -90,10 +90,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.single("cqfitd_dedup_shared_total", "Jobs that adopted an identical in-flight job's result.", "counter",
 		float64(st.DedupShared))
 
-	// Hom-search dispatch: join-tree fast path (α-acyclic sources) vs
+	// Hom-search dispatch: join-tree fast path (α-acyclic sources),
+	// cutset search (a small cycle cutset, then the join tree) and
 	// generic backtracking.
 	m.family("cqfitd_hom_dispatch_total", "Hom searches served per dispatch path.", "counter")
 	m.value("cqfitd_hom_dispatch_total", `{path="jointree"}`, float64(st.Dispatch.JoinTree))
+	m.value("cqfitd_hom_dispatch_total", `{path="cutset"}`, float64(st.Dispatch.Cutset))
 	m.value("cqfitd_hom_dispatch_total", `{path="backtrack"}`, float64(st.Dispatch.Backtrack))
 
 	// Streaming enumeration (POST /v1/jobs/stream).

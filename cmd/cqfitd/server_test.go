@@ -554,6 +554,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cqfitd_job_duration_seconds_count 1",
 		`cqfitd_task_duration_seconds_count{task="cq/exists"} 1`,
 		`cqfitd_task_jobs_total{task="cq/exists"} 1`,
+		`cqfitd_hom_dispatch_total{path="jointree"}`,
+		`cqfitd_hom_dispatch_total{path="cutset"}`,
+		`cqfitd_hom_dispatch_total{path="backtrack"}`,
 		"# TYPE cqfitd_jobs_done_total counter",
 		"# TYPE cqfitd_job_duration_seconds histogram",
 	} {

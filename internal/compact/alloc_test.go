@@ -16,7 +16,7 @@ func TestBuildAllocsFlat(t *testing.T) {
 	to.I.BuildIndexes()
 	allocs := func(n int) float64 {
 		from := genex.ParityCycle(n)
-		return testing.AllocsPerRun(100, func() { Build(context.Background(), from.I, to.I, nil) })
+		return testing.AllocsPerRun(100, func() { Build(context.Background(), from, to) })
 	}
 	small, large := allocs(4), allocs(32)
 	t.Logf("Build allocates %.0f times at ParityCycle(4), %.0f at ParityCycle(32)", small, large)
@@ -25,20 +25,21 @@ func TestBuildAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestFindAllocs pins a sequential search on a warm arena at one
-// allocation: the domains, trail, candidate lists, propagation queue,
-// queued flags and support bitsets all come from the arena's scratch.
+// TestFindAllocs pins a sequential backtracking search on a warm arena
+// at no allocation: the searcher with its domains, trail, candidate
+// lists, propagation queue, queued flags and support bitsets all come
+// from the arena's scratch.
 func TestFindAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a share of its items, so arena reuse is not measurable")
 	}
 	ctx := WithArena(context.Background(), NewArena())
-	r := Build(ctx, genex.ParityCycle(10).I, genex.ParityTarget().I, nil)
-	if _, ok := r.Find(ctx, 1); ok {
+	r := Build(ctx, genex.ParityCycle(10), genex.ParityTarget())
+	if ok, _ := r.Find(ctx, Cut{}, 1, nil); ok {
 		t.Fatal("ParityCycle(10) -> ParityTarget must be unsatisfiable")
 	}
-	if n := testing.AllocsPerRun(100, func() { r.Find(ctx, 1) }); n > 1 {
-		t.Errorf("a sequential Find on a warm arena allocates %.0f times, want at most 1", n)
+	if n := testing.AllocsPerRun(100, func() { r.Find(ctx, Cut{}, 1, nil) }); n > 0 {
+		t.Errorf("a sequential Find on a warm arena allocates %.0f times, want none", n)
 	}
 }
 
@@ -56,38 +57,39 @@ func relaxedParity() *instance.Instance {
 
 // TestJoinTreeAllocsFlat pins the allocation counts of a search over
 // compiled forms: Build (the Rep, its facts and its seeded domains)
-// and a join-tree FindJoin on a warm arena (the copied witness; the
+// allocates a constant, the same at ParityChain(4) and at
+// ParityChain(32), and a join-tree Find on a warm arena nothing (the
 // alive words, cursors and solution vector come from the arena's
-// scratch) each allocate a constant, the same at ParityChain(4) and at
-// ParityChain(32).
+// scratch).
 func TestJoinTreeAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a share of its items, so arena reuse is not measurable")
 	}
 	ctx := WithArena(context.Background(), NewArena())
-	to := relaxedParity()
+	to := instance.NewPointed(relaxedParity())
 	allocs := func(n int) (build, find float64) {
-		from := genex.ParityChain(n).I
-		if !Acyclic(ctx, from) {
+		from := genex.ParityChain(n)
+		if !Acyclic(ctx, from.I) {
 			t.Fatalf("ParityChain(%d) must be acyclic", n)
 		}
-		r := Build(ctx, from, to, nil)
-		if _, ok := r.FindJoin(ctx); !ok {
-			t.Fatalf("ParityChain(%d) must map into the relaxed parity target", n)
+		r := Build(ctx, from, to)
+		c := r.Cut(ctx)
+		if ok, path := r.Find(ctx, c, 1, nil); !ok || path != PathJoinTree {
+			t.Fatalf("ParityChain(%d) must map into the relaxed parity target on the join tree", n)
 		}
-		build = testing.AllocsPerRun(100, func() { Build(ctx, from, to, nil) })
-		find = testing.AllocsPerRun(100, func() { r.FindJoin(ctx) })
+		build = testing.AllocsPerRun(100, func() { Build(ctx, from, to) })
+		find = testing.AllocsPerRun(100, func() { r.Find(ctx, c, 1, nil) })
 		return build, find
 	}
 	smallBuild, smallFind := allocs(4)
 	largeBuild, largeFind := allocs(32)
-	t.Logf("Build allocates %.0f/%.0f times and FindJoin %.0f/%.0f at ParityChain(4)/(32)",
+	t.Logf("Build allocates %.0f/%.0f times and the join-tree Find %.0f/%.0f at ParityChain(4)/(32)",
 		smallBuild, largeBuild, smallFind, largeFind)
 	if largeBuild != smallBuild || largeFind != smallFind {
-		t.Errorf("Build allocates %.0f times at ParityChain(4) and %.0f at (32), FindJoin %.0f and %.0f; want no growth with the source",
+		t.Errorf("Build allocates %.0f times at ParityChain(4) and %.0f at (32), Find %.0f and %.0f; want no growth with the source",
 			smallBuild, largeBuild, smallFind, largeFind)
 	}
-	if smallBuild > 3 || smallFind > 1 {
-		t.Errorf("Build allocates %.0f times and FindJoin %.0f; want at most 3 and 1", smallBuild, smallFind)
+	if smallBuild > 3 || smallFind > 0 {
+		t.Errorf("Build allocates %.0f times and Find %.0f; want at most 3 and none", smallBuild, smallFind)
 	}
 }

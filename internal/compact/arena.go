@@ -5,21 +5,17 @@ import (
 	"sync"
 )
 
-// scratch is the reusable per-search buffer set: for the backtracker
-// the flat domain word array, the save-epoch array, the undo trail, the
-// per-depth candidate slices, and the propagation worklist with its
-// queued flags and support bitsets; for the join tree the alive words
-// and the cursors and solution vector. One scratch serves one search at
-// a time; the arena recycles them across the memo-missed subproblems of
-// an engine.
+// scratch is the reusable per-search state: the searcher with its
+// buffers (the flat domain word array, the save-epoch array, the undo
+// trail, the per-depth candidate slices, the solution vector, and the
+// propagation worklist with its queued flags and support bitsets), and
+// for the join tree the alive words and the cursors and solution
+// vector. One scratch serves one search at a time, a cutset search's
+// leaves included; the arena recycles them across the memo-missed
+// subproblems of an engine, so a search on a warm arena allocates no
+// state of its own.
 type scratch struct {
-	dom    []uint64
-	saved  []uint64
-	trail  []trailEntry
-	cands  [][]uint32
-	queue  []uint32
-	queued []bool
-	sup    []uint64
+	searcher
 
 	alive    []uint64
 	joinInts []uint32

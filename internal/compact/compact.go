@@ -1,11 +1,14 @@
 // Package compact is the interned representation of a homomorphism
-// search and its two evaluators: the Yannakakis-style join tree for
-// α-acyclic sources (gyo.go, jointree.go), and the bitset backtracking
-// engine for every other search and for the arc-consistency test of
+// search and its one search: GAC backtracking with popcount-driven MRV
+// on a conditioning set C of source variables (cutset.go), finished at
+// each leaf by the Yannakakis-style join tree over the rest of the
+// source, which C leaves α-acyclic (gyo.go, jointree.go). C = ∅ is the
+// join tree alone, for α-acyclic sources, and C = every variable the
+// plain backtracker, which also runs the arc-consistency test of
 // Proposition 4.7. Each instance is compiled once into a Form (form.go)
 // cached on the instance; a search's Rep points the source's facts at
 // the target's relations and seeds the candidate domains, []uint64
-// bitsets with popcount-driven MRV ordering.
+// bitsets.
 //
 // Propagation (generalized arc consistency) is incremental: the root
 // queues every source fact, an assignment queues only the assigned
@@ -74,9 +77,9 @@ type cfact struct {
 // source's and the target's compiled forms, the source facts pointed at
 // their target relations, and the seeded domains. The sequential
 // searcher, every parallel worker and the join tree share it. Build it
-// once per (source, target) pair, then run Find or FindAll, or FindJoin
-// or FindAllJoin for an α-acyclic source; scratch cycles through the
-// arena carried by the build context.
+// once per (source, target) pair, choose its Cut, then run Find or
+// FindAll; scratch cycles through the arena carried by the build
+// context.
 type Rep struct {
 	nv    int // number of source variables
 	nt    int // number of target values
@@ -87,24 +90,27 @@ type Rep struct {
 	// init is the seeded domain array (pinned variables as singletons,
 	// the full target domain otherwise); searches copy it, never mutate.
 	init []uint64
+	// tuple is the source's distinguished tuple, whose values inside its
+	// domain are the pinned variables.
+	tuple []instance.Value
 
 	arena *Arena
 }
 
-// Build makes the search (source instance, target instance, pinned
-// images of distinguished elements inside the source's domain) into a
-// Rep. It reads the source's and the target's compiled forms, compiling
-// an instance on its first search (see Form), and only points the
-// source facts at their target relations and seeds the domains.
-// Validation — equal schemas, arities, equality types, pinned images in
-// the target's domain — is the caller's job (hom.newSearch does it);
-// Build never fails, it only produces representations whose search
-// comes up empty. The arena carried by ctx (if any) supplies reusable
-// scratch.
-func Build(ctx context.Context, from, to *instance.Instance, pinned map[instance.Value]instance.Value) *Rep {
-	src, dst := compile(from), compile(to)
+// Build makes the search from the pointed source to the pointed target
+// into a Rep: each distinguished element of the source that lies in
+// its domain is pinned to the target's element at the same position.
+// It reads the source's and the target's compiled forms, compiling an
+// instance on its first search (see Form), and only points the source
+// facts at their target relations and seeds the domains. Validation —
+// equal schemas, arities, a consistent tuple, pinned images in the
+// target's domain — is the caller's job (hom.newSearch does it); Build
+// never fails, it only produces representations whose search comes up
+// empty. The arena carried by ctx (if any) supplies reusable scratch.
+func Build(ctx context.Context, from, to instance.Pointed) *Rep {
+	src, dst := compile(from.I), compile(to.I)
 	r := &Rep{nv: len(src.vals), nt: len(dst.vals), words: max(1, (len(dst.vals)+63)/64),
-		src: src, dst: dst, facts: slices.Clone(src.facts), arena: arenaFrom(ctx)}
+		src: src, dst: dst, facts: slices.Clone(src.facts), tuple: from.Tuple, arena: arenaFrom(ctx)}
 	for i := range r.facts {
 		r.facts[i].rel = dst.byRel[src.factRel[i]]
 	}
@@ -120,17 +126,20 @@ func Build(ctx context.Context, from, to *instance.Instance, pinned map[instance
 			r.init[v*r.words-1] = (uint64(1) << tail) - 1
 		}
 	}
-	for a, b := range pinned {
+	for i, a := range from.Tuple {
 		if v, ok := slices.BinarySearch(src.vals, a); ok {
 			d := r.init[v*r.words : (v+1)*r.words]
 			clear(d)
-			if w, ok := slices.BinarySearch(dst.vals, b); ok { // the caller validated b ∈ dom(to)
+			if w, ok := slices.BinarySearch(dst.vals, to.Tuple[i]); ok { // the caller validated the image ∈ dom(to)
 				d[w/64] = uint64(1) << (w % 64)
 			}
 		}
 	}
 	return r
 }
+
+// NumVars returns the number of source variables: a solution's length.
+func (r *Rep) NumVars() int { return r.nv }
 
 // ToAssignment converts a solution (variable id -> target id) into the
 // value-level assignment the hom layer returns.
@@ -153,16 +162,20 @@ type trailEntry struct {
 	old  uint64
 }
 
-// searcher is the mutable state of one backtracking search (or one
-// parallel worker) over a shared Rep. Domains are one flat word array;
-// every destructive write saves the word on the trail at most once per
-// epoch (decision point), so undoing a node restores exactly the words
-// it touched.
+// searcher is the mutable state of one search (or one parallel
+// worker) over a shared Rep. Domains are one flat word array; every
+// destructive write saves the word on the trail at most once per epoch
+// (decision point), so undoing a node restores exactly the words it
+// touched. A searcher lives in arena scratch (see arena.go), so it and
+// its buffers outlive it for the next search.
 type searcher struct {
 	r    *Rep
 	ctx  context.Context
 	done <-chan struct{} // ctx.Done(), polled by checkpoint
 	rec  *obs.Recorder
+	// cut is the conditioning set the search branches on; the zero Cut
+	// branches on every variable.
+	cut Cut
 
 	dom   []uint64
 	trail []trailEntry
@@ -173,8 +186,10 @@ type searcher struct {
 	epoch uint64
 
 	// cands is a per-depth scratch of candidate target ids, reused
-	// across sibling nodes to keep the per-node allocation count flat.
+	// across sibling nodes to keep the per-node allocation count flat;
+	// sol is the solution vector a leaf yields.
 	cands [][]uint32
+	sol   []uint32
 
 	// The propagation worklist: a FIFO ring of fact ids (one slot per
 	// fact; queued[f] marks the facts in it, so none is in it twice),
@@ -191,46 +206,44 @@ type searcher struct {
 
 	stop *stopFlag // parallel early-stop; nil for sequential searches
 
-	// parked is the arena scratch this searcher borrowed; release
-	// refills and returns it.
-	parked *scratch
+	// sc is the arena scratch this searcher lives in; release returns
+	// it.
+	sc *scratch
 }
 
-// newSearcher prepares a searcher over r with domains copied from from
-// (the seeded init domains, or a split prefix snapshot).
+// newSearcher prepares a searcher over r, in scratch from r's arena,
+// with domains copied from from (the seeded init domains, or a split
+// prefix snapshot).
 func (r *Rep) newSearcher(ctx context.Context, from []uint64, stop *stopFlag) *searcher {
-	s := &searcher{r: r, ctx: ctx, rec: obs.FromContext(ctx), stop: stop}
+	sc := r.arena.get()
+	s := &sc.searcher
+	s.r, s.ctx, s.done, s.rec, s.cut, s.stop, s.sc = r, ctx, nil, obs.FromContext(ctx), Cut{}, stop, sc
 	if ctx != nil {
 		s.done = ctx.Done()
 	}
-	sc := r.arena.get()
-	s.dom = resize(sc.dom, len(from))
+	s.dom = resize(s.dom, len(from))
 	copy(s.dom, from)
-	s.saved = resize(sc.saved, len(from))
+	s.saved = resize(s.saved, len(from))
 	clear(s.saved)
-	s.trail = sc.trail[:0]
-	s.cands = sc.cands
+	s.trail = s.trail[:0]
 	s.epoch = 1
 	// A searcher unwound mid-propagation (a cancellation) parks its
 	// scratch with facts still marked queued.
-	s.queue = resize(sc.queue, len(r.facts))
-	s.queued = resize(sc.queued, len(r.facts))
+	s.queue = resize(s.queue, len(r.facts))
+	s.queued = resize(s.queued, len(r.facts))
 	clear(s.queued)
-	s.sup = resize(sc.sup, r.src.maxArity*r.words)
-	s.parked = sc
+	s.head, s.queueN = 0, 0
+	s.sup = resize(s.sup, r.src.maxArity*r.words)
+	s.sol = resize(s.sol, r.nv)
 	return s
 }
 
-// release returns the searcher's buffers to the arena.
+// release returns the searcher's scratch to the arena, dropping its
+// references to the search.
 func (s *searcher) release() {
-	if s.parked == nil {
-		return
-	}
-	sc := s.parked
-	sc.dom, sc.saved, sc.trail, sc.cands = s.dom, s.saved, s.trail, s.cands
-	sc.queue, sc.queued, sc.sup = s.queue, s.queued, s.sup
-	s.r.arena.put(sc)
-	s.parked = nil
+	sc, a := s.sc, s.r.arena
+	s.r, s.ctx, s.done, s.rec, s.cut, s.stop, s.sc = nil, nil, nil, nil, Cut{}, nil, nil
+	a.put(sc)
 }
 
 func (s *searcher) domain(v int) []uint64 {
@@ -308,9 +321,18 @@ func (s *searcher) assign(v int, w uint32) {
 
 // pickVar returns the unassigned variable with the smallest domain > 1
 // (popcount MRV, lowest id on ties), or ok=false when all domains are
-// singletons.
+// singletons. A cutset search picks among the cut's branch variables
+// only, by the same rule.
 func (s *searcher) pickVar() (v int, ok bool) {
 	best, bestN := -1, -1
+	if s.cut.forest != nil {
+		for _, u := range s.cut.branch {
+			if n := s.count(int(u)); n > 1 && (bestN == -1 || n < bestN || n == bestN && int(u) < best) {
+				best, bestN = int(u), n
+			}
+		}
+		return best, best != -1
+	}
 	for u := 0; u < s.r.nv; u++ {
 		if n := s.count(u); n > 1 && (bestN == -1 || n < bestN) {
 			best, bestN = u, n
@@ -342,9 +364,9 @@ func (s *searcher) candidates(v, d int) []uint32 {
 	return out
 }
 
-// extract copies the all-singleton domains into a solution vector.
+// extract copies the all-singleton domains into the solution vector.
 func (s *searcher) extract() []uint32 {
-	sol := make([]uint32, s.r.nv)
+	sol := s.sol
 	for v := 0; v < s.r.nv; v++ {
 		base := v * s.r.words
 		for i := 0; i < s.r.words; i++ {
@@ -571,44 +593,14 @@ func (s *searcher) support(f *cfact, row int, sup []uint64) {
 }
 
 // ---------------------------------------------------------------------
-// sequential search
+// the search
 // ---------------------------------------------------------------------
 
-// find runs GAC-based backtracking from the current domains and returns
-// one solution or nil. depth indexes the candidate scratch.
-func (s *searcher) find(depth int) []uint32 {
-	s.checkpoint()
-	if s.stop.stopped() {
-		return nil
-	}
-	s.rec.Add(obs.CtrHomNodes, 1)
-	v, ok := s.pickVar()
-	if !ok {
-		sol := s.extract()
-		if s.valid(sol) {
-			return sol
-		}
-		s.rec.Add(obs.CtrHomBacktracks, 1)
-		return nil
-	}
-	for _, w := range s.candidates(v, depth) {
-		m := s.mark()
-		s.epoch++
-		s.assign(v, w)
-		if s.propagateFrom(v) {
-			if sol := s.find(depth + 1); sol != nil {
-				return sol
-			}
-		}
-		s.undo(m)
-	}
-	s.rec.Add(obs.CtrHomBacktracks, 1)
-	return nil
-}
-
-// enum enumerates every solution below the current domains, yielding
-// each; returns false when enumeration should stop.
-func (s *searcher) enum(depth int, yield func([]uint32) bool) bool {
+// search branches from the current domains with GAC and MRV, on the
+// cut's branch variables or on every variable, and yields each leaf's
+// solutions; it returns false once yield or the parallel stop flag
+// ended the search. depth indexes the candidate scratch.
+func (s *searcher) search(depth int, yield func([]uint32) bool) bool {
 	s.checkpoint()
 	if s.stop.stopped() {
 		return false
@@ -616,62 +608,105 @@ func (s *searcher) enum(depth int, yield func([]uint32) bool) bool {
 	s.rec.Add(obs.CtrHomNodes, 1)
 	v, ok := s.pickVar()
 	if !ok {
-		sol := s.extract()
-		if !s.valid(sol) {
-			return true
-		}
-		return yield(sol)
+		return s.leaf(yield)
 	}
 	for _, w := range s.candidates(v, depth) {
 		m := s.mark()
 		s.epoch++
 		s.assign(v, w)
-		if s.propagateFrom(v) {
-			if !s.enum(depth+1, yield) {
-				s.undo(m)
-				return false
-			}
+		if s.propagateFrom(v) && !s.search(depth+1, yield) {
+			s.undo(m)
+			return false
 		}
 		s.undo(m)
 	}
+	s.rec.Add(obs.CtrHomBacktracks, 1)
 	return true
 }
 
-// Find returns one solution (variable id -> target id) using up to
-// workers parallel search workers (<= 1, or a search too small to
-// split, runs sequentially). First witness wins; losers stop at their
-// next node.
-func (r *Rep) Find(ctx context.Context, workers int) ([]uint32, bool) {
-	if workers > 1 {
-		if sol, ok, split := r.findParallel(ctx, workers); split {
-			return sol, ok
-		}
+// leaf finishes a branch whose domains are at a GAC fixpoint: a cutset
+// leaf runs the join tree over the cut's forest from its domains, a
+// backtracking leaf, every domain a singleton, yields that one
+// solution.
+func (s *searcher) leaf(yield func([]uint32) bool) bool {
+	if s.cut.forest != nil {
+		s.rec.Add(obs.CtrCutsetLeaves, 1)
+		return s.join(yield)
 	}
-	s := r.newSearcher(ctx, r.init, nil)
-	defer s.release()
-	if !s.propagateAll() {
-		return nil, false
+	sol := s.extract()
+	if !s.valid(sol) {
+		s.rec.Add(obs.CtrHomBacktracks, 1)
+		return true
 	}
-	sol := s.find(0)
-	return sol, sol != nil
+	return yield(sol)
 }
 
-// FindAll enumerates every solution, yielding each until yield returns
-// false. With workers > 1 the top of the search tree is split across a
-// worker pool and the per-prefix answer batches are merged back in
-// deterministic prefix order.
-func (r *Rep) FindAll(ctx context.Context, workers int, yield func([]uint32) bool) {
-	if workers > 1 {
-		if split := r.findAllParallel(ctx, workers, yield); split {
-			return
-		}
-	}
+// Find reports whether a homomorphism exists, searching under the cut
+// c (see run), and copies the one it finds into sol unless sol is nil;
+// a non-nil sol has NumVars entries. With workers > 1 a backtracking
+// search races over the splitter's prefixes and the first witness
+// wins. The Path says how the search went.
+func (r *Rep) Find(ctx context.Context, c Cut, workers int, sol []uint32) (bool, Path) {
+	found := false
+	path := r.run(ctx, c, workers, true, func(s []uint32) bool {
+		found = true
+		copy(sol, s)
+		return false
+	})
+	return found, path
+}
+
+// FindAll enumerates every solution under the cut c (see run), yielding
+// each until yield returns false. The yielded slice is reused: yield
+// must copy what it keeps. With workers > 1 a backtracking search
+// splits the top of its tree across a worker pool and yields the
+// per-prefix batches in prefix order, so the order does not depend on
+// the worker count. The Path says how the search went.
+func (r *Rep) FindAll(ctx context.Context, c Cut, workers int, yield func([]uint32) bool) Path {
+	return r.run(ctx, c, workers, false, yield)
+}
+
+// run is the one search. A cut without branch variables is one
+// join-tree pass over the seeded domains: the join tree itself when C
+// = ∅, a cutset leaf when C holds only pinned variables. Any other
+// search propagates the root, then branches on the cut's variables
+// when the product of their domain sizes is within leafBudget, and on
+// every variable, with the splitter at workers > 1, when it is not or
+// when c is the zero Cut. first selects the splitter's first-witness
+// race over its ordered enumeration. Yield runs on the calling
+// goroutine.
+func (r *Rep) run(ctx context.Context, c Cut, workers int, first bool, yield func([]uint32) bool) Path {
 	s := r.newSearcher(ctx, r.init, nil)
 	defer s.release()
-	if !s.propagateAll() {
-		return
+	if c.forest != nil && len(c.branch) == 0 {
+		s.cut = c
+		if !c.cond {
+			s.join(yield)
+			return PathJoinTree
+		}
+		s.leaf(yield)
+		return PathCutset
 	}
-	s.enum(0, yield)
+	if !s.propagateAll() {
+		if c.forest != nil {
+			return PathCutset
+		}
+		return PathBacktrack
+	}
+	if c.forest != nil && s.leaves(c.branch) <= leafBudget {
+		s.cut = c
+		s.search(0, yield)
+		return PathCutset
+	}
+	switch {
+	case workers > 1 && first:
+		s.findParallel(workers, yield)
+	case workers > 1:
+		s.findAllParallel(workers, yield)
+	default:
+		s.search(0, yield)
+	}
+	return PathBacktrack
 }
 
 // ArcConsistent enforces generalized arc consistency on the seeded

@@ -28,10 +28,18 @@ func checkSolution(t *testing.T, from, to *instance.Instance, r *Rep, sol []uint
 // canon renders a solution canonically for set comparison.
 func canon(sol []uint32) string { return fmt.Sprint(sol) }
 
+// backtrack runs the backtracker (C = every variable) at the given
+// worker count and returns its witness.
+func backtrack(ctx context.Context, r *Rep, workers int) ([]uint32, bool) {
+	sol := make([]uint32, r.NumVars())
+	ok, _ := r.Find(ctx, Cut{}, workers, sol)
+	return sol, ok
+}
+
 func allSolutions(t *testing.T, r *Rep, workers int) []string {
 	t.Helper()
 	var out []string
-	r.FindAll(context.Background(), workers, func(sol []uint32) bool {
+	r.FindAll(context.Background(), Cut{}, workers, func(sol []uint32) bool {
 		out = append(out, canon(sol))
 		return true
 	})
@@ -48,8 +56,8 @@ func TestFindKnownCycles(t *testing.T) {
 		{6, 3, true}, {6, 2, true}, {5, 3, false}, {4, 3, false}, {9, 3, true},
 	} {
 		from, to := genex.DirectedCycle(tc.n), genex.DirectedCycle(tc.m)
-		r := Build(context.Background(), from.I, to.I, nil)
-		sol, ok := r.Find(context.Background(), 1)
+		r := Build(context.Background(), from, to)
+		sol, ok := backtrack(context.Background(), r, 1)
 		if ok != tc.want {
 			t.Fatalf("C%d -> C%d: got %v, want %v", tc.n, tc.m, ok, tc.want)
 		}
@@ -65,7 +73,7 @@ func TestFindKnownCycles(t *testing.T) {
 func TestFindAllCount(t *testing.T) {
 	for _, m := range []int{2, 3, 5} {
 		from, to := genex.DirectedPath(3), genex.DirectedCycle(m)
-		r := Build(context.Background(), from.I, to.I, nil)
+		r := Build(context.Background(), from, to)
 		sols := allSolutions(t, r, 1)
 		if len(sols) != m {
 			t.Fatalf("P3 -> C%d: got %d answers, want %d", m, len(sols), m)
@@ -80,8 +88,8 @@ func TestFindAllCount(t *testing.T) {
 	}
 	parity := genex.ParityTarget()
 	for n := 3; n <= 6; n++ {
-		r := Build(context.Background(), genex.ParityCycle(n).I, parity.I, nil)
-		if _, ok := r.Find(context.Background(), 1); ok {
+		r := Build(context.Background(), genex.ParityCycle(n), parity)
+		if _, ok := backtrack(context.Background(), r, 1); ok {
 			t.Fatalf("ParityCycle(%d) -> ParityTarget should have no homomorphism", n)
 		}
 	}
@@ -94,13 +102,12 @@ func TestPinnedDomains(t *testing.T) {
 	from, to := genex.DirectedPath(3), genex.DirectedCycle(4)
 	head := from.I.Dom()[0]
 	for _, img := range to.I.Dom() {
-		pinned := map[instance.Value]instance.Value{head: img}
-		r := Build(context.Background(), from.I, to.I, pinned)
+		r := Build(context.Background(), instance.NewPointed(from.I, head), instance.NewPointed(to.I, img))
 		sols := allSolutions(t, r, 1)
 		if len(sols) != 1 {
 			t.Fatalf("pinned head=%s: got %d answers, want 1", img, len(sols))
 		}
-		sol, ok := r.Find(context.Background(), 1)
+		sol, ok := backtrack(context.Background(), r, 1)
 		if !ok {
 			t.Fatalf("pinned head=%s: Find found nothing", img)
 		}
@@ -121,7 +128,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		{genex.Clique(3), genex.Clique(4)},
 	}
 	for _, tc := range cases {
-		r := Build(context.Background(), tc.from.I, tc.to.I, nil)
+		r := Build(context.Background(), tc.from, tc.to)
 		seq := allSolutions(t, r, 1)
 		for _, workers := range []int{2, 4} {
 			par := allSolutions(t, r, workers)
@@ -133,8 +140,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 					t.Fatalf("workers=%d: answer %d is %s, sequential has %s", workers, i, par[i], seq[i])
 				}
 			}
-			_, okSeq := r.Find(context.Background(), 1)
-			sol, okPar := r.Find(context.Background(), workers)
+			_, okSeq := backtrack(context.Background(), r, 1)
+			sol, okPar := backtrack(context.Background(), r, workers)
 			if okSeq != okPar {
 				t.Fatalf("workers=%d: Find=%v, sequential Find=%v", workers, okPar, okSeq)
 			}
@@ -148,10 +155,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestFindAllEarlyStop checks yield=false stops enumeration for both
 // the sequential and the parallel driver.
 func TestFindAllEarlyStop(t *testing.T) {
-	r := Build(context.Background(), genex.DirectedCycle(12).I, genex.DirectedCycle(3).I, nil)
+	r := Build(context.Background(), genex.DirectedCycle(12), genex.DirectedCycle(3))
 	for _, workers := range []int{1, 4} {
 		seen := 0
-		r.FindAll(context.Background(), workers, func([]uint32) bool {
+		r.FindAll(context.Background(), Cut{}, workers, func([]uint32) bool {
 			seen++
 			return seen < 2
 		})
@@ -166,11 +173,11 @@ func TestFindAllEarlyStop(t *testing.T) {
 func TestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := Build(context.Background(), genex.ParityCycle(8).I, genex.ParityTarget().I, nil)
+	r := Build(context.Background(), genex.ParityCycle(8), genex.ParityTarget())
 	for _, workers := range []int{1, 4} {
 		err := func() (err error) {
 			defer solve.Catch(&err)
-			r.Find(ctx, workers)
+			backtrack(ctx, r, workers)
 			return nil
 		}()
 		if err == nil {
@@ -178,7 +185,7 @@ func TestCancellation(t *testing.T) {
 		}
 		err = func() (err error) {
 			defer solve.Catch(&err)
-			r.FindAll(ctx, workers, func([]uint32) bool { return true })
+			r.FindAll(ctx, Cut{}, workers, func([]uint32) bool { return true })
 			return nil
 		}()
 		if err == nil {
@@ -197,8 +204,8 @@ func TestArenaReuse(t *testing.T) {
 	ctx := WithArena(context.Background(), a)
 	from, to := genex.DirectedCycle(12), genex.DirectedCycle(4)
 	for i := 0; i < 3; i++ {
-		r := Build(ctx, from.I, to.I, nil)
-		if _, ok := r.Find(ctx, 4); !ok {
+		r := Build(ctx, from, to)
+		if _, ok := backtrack(ctx, r, 4); !ok {
 			t.Fatalf("round %d: C12 -> C4 must have a homomorphism", i)
 		}
 		sols := allSolutions(t, r, 1)
@@ -213,12 +220,12 @@ func TestArenaReuse(t *testing.T) {
 func TestEmptyTarget(t *testing.T) {
 	from := genex.DirectedPath(2)
 	empty := instance.New(from.I.Schema())
-	r := Build(context.Background(), from.I, empty, nil)
-	if _, ok := r.Find(context.Background(), 1); ok {
+	r := Build(context.Background(), from, instance.NewPointed(empty))
+	if _, ok := backtrack(context.Background(), r, 1); ok {
 		t.Fatal("path into empty instance must fail")
 	}
-	r = Build(context.Background(), empty, from.I, nil)
-	sol, ok := r.Find(context.Background(), 1)
+	r = Build(context.Background(), instance.NewPointed(empty), from)
+	sol, ok := backtrack(context.Background(), r, 1)
 	if !ok {
 		t.Fatal("empty source must map trivially")
 	}
@@ -353,7 +360,7 @@ func randomRep(rng *rand.Rand) *Rep {
 			pinned[a] = b
 		}
 		if ok {
-			return Build(context.Background(), from.I, to.I, pinned)
+			return Build(context.Background(), from, to)
 		}
 	}
 }

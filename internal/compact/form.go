@@ -11,8 +11,9 @@ import (
 // search it takes part in: a search reads the source half of its
 // source's form and the target half of its target's. The form is cached
 // on the instance (see instance.Instance.Compiled) and immutable once
-// published, except for the join forest, which the first acyclicity
-// probe computes and publishes (see Acyclic).
+// published, except for the join forest and the cuts, which the first
+// search that needs them computes and publishes (see Acyclic and
+// Rep.Cut).
 type Form struct {
 	// vals is the sorted active domain: id -> value. As a source the
 	// ids are variable ids, as a target they are target ids.
@@ -38,6 +39,9 @@ type Form struct {
 
 	// forest is the GYO verdict and join forest, computed on first probe.
 	forest atomic.Pointer[joinForest]
+	// cuts lists the cuts of a cyclic source, one per set of pinned
+	// variables it was searched under (see cutset.go).
+	cuts atomic.Pointer[cutEntry]
 }
 
 // compile returns the instance's compiled form, building and caching it

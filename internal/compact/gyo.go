@@ -11,7 +11,8 @@ import (
 // This file decides α-acyclicity of a source by GYO ear removal on its
 // compiled form, and builds the join forest the join-tree evaluator
 // (jointree.go) runs on. The query hypergraph has one edge per source
-// fact, over the fact's distinct variables.
+// fact, over the fact's distinct variables; conditioned on a set C of
+// variables (see cutset.go), over those outside C.
 
 // joinForest is the GYO verdict on a source and, when the source is
 // α-acyclic, its join forest: one tree per connected component, with
@@ -50,47 +51,81 @@ func (f *Form) joinForest(ctx context.Context) *joinForest {
 	if fo := f.forest.Load(); fo != nil {
 		return fo
 	}
-	f.forest.CompareAndSwap(nil, f.gyo(ctx))
+	fo := &joinForest{}
+	if g := f.newEars(nil); g.remove(ctx) {
+		fo = g.forest()
+	}
+	f.forest.CompareAndSwap(nil, fo)
 	return f.forest.Load()
 }
 
-// gyo runs ear removal over the facts: a fact is an ear when the
-// variables it shares with other live facts all lie in one live fact,
-// its parent; a fact sharing no variable with a live fact is a root.
-// Each pass scans the live facts in fact order and removes every ear
-// it meets. A parent must hold each shared variable, so it is sought
-// only among the facts of the first one, in fact order: the same first
-// parent a scan of every fact finds, at the cost of that variable's
-// degree.
-func (f *Form) gyo(ctx context.Context) *joinForest {
+// ears is the state of GYO ear removal over a form's facts, with the
+// variables masked[v] (none when masked is nil) removed from every
+// edge. Ear removal is confluent, and masking a variable only makes
+// more facts ears, so a run that got stuck can mask a variable and go
+// on where it stopped (see peel): every fact removed keeps a parent
+// that holds each variable it shared with a live fact, and the
+// variables never masked keep the running-intersection property.
+type ears struct {
+	f      *Form
+	masked []bool
+	// occ counts the live facts holding each variable outside the mask.
+	occ     []uint32
+	removed []bool
+	parent  []int32
+	order   []uint32
+	shared  []uint32 // scratch: the variables an ear candidate shares
+}
+
+func (f *Form) newEars(masked []bool) *ears {
 	n := len(f.facts)
-	occ := make([]uint32, len(f.vals)) // live facts holding each variable
-	for v := range occ {
-		occ[v] = f.varOff[v+1] - f.varOff[v]
+	g := &ears{f: f, masked: masked, occ: make([]uint32, len(f.vals)),
+		removed: make([]bool, n), parent: make([]int32, n), order: make([]uint32, 0, n)}
+	for v := range g.occ {
+		if masked == nil || !masked[v] {
+			g.occ[v] = f.varOff[v+1] - f.varOff[v]
+		}
 	}
-	removed := make([]bool, n)
-	parent := make([]int32, n)
-	order := make([]uint32, 0, n)
-	var shared []uint32
-	for progress := true; progress && len(order) < n; {
+	return g
+}
+
+// mask removes variable v from every edge; the caller's masked slice
+// records it.
+func (g *ears) mask(v uint32) {
+	g.masked[v] = true
+	g.occ[v] = 0
+}
+
+// remove runs ear removal until no live fact is an ear, and reports
+// whether every fact was removed. A fact is an ear when the variables
+// it shares with other live facts all lie in one live fact, its
+// parent; a fact sharing no variable with a live fact is a root. Each
+// pass scans the live facts in fact order and removes every ear it
+// meets. A parent must hold each shared variable, so it is sought only
+// among the facts of the first one, in fact order: the same first
+// parent a scan of every fact finds, at the cost of that variable's
+// degree. GYO checks ctx once per pass.
+func (g *ears) remove(ctx context.Context) bool {
+	f, n := g.f, len(g.f.facts)
+	for progress := true; progress && len(g.order) < n; {
 		solve.Check(ctx)
 		progress = false
 		for e := range f.facts {
-			if removed[e] {
+			if g.removed[e] {
 				continue
 			}
 			fe := &f.facts[e]
-			shared = shared[:0]
+			g.shared = g.shared[:0]
 			for j, v := range fe.args {
-				if fe.firstPos[j] == uint32(j) && occ[v] > 1 {
-					shared = append(shared, v)
+				if fe.firstPos[j] == uint32(j) && g.occ[v] > 1 {
+					g.shared = append(g.shared, v)
 				}
 			}
 			p := -1
-			if len(shared) > 0 {
-				x := shared[0]
+			if len(g.shared) > 0 {
+				x := g.shared[0]
 				for _, w := range f.varFacts[f.varOff[x]:f.varOff[x+1]] {
-					if int(w) != e && !removed[w] && f.holdsAll(int(w), shared) {
+					if int(w) != e && !g.removed[w] && f.holdsAll(int(w), g.shared) {
 						p = int(w)
 						break
 					}
@@ -99,20 +134,22 @@ func (f *Form) gyo(ctx context.Context) *joinForest {
 					continue // not an ear (yet)
 				}
 			}
-			parent[e], removed[e] = int32(p), true
+			g.parent[e], g.removed[e] = int32(p), true
 			for j, v := range fe.args {
-				if fe.firstPos[j] == uint32(j) {
-					occ[v]--
+				if fe.firstPos[j] == uint32(j) && g.occ[v] > 0 {
+					g.occ[v]--
 				}
 			}
-			order = append(order, uint32(e))
+			g.order = append(g.order, uint32(e))
 			progress = true
 		}
 	}
-	if len(order) < n {
-		return &joinForest{}
-	}
-	return f.newJoinForest(parent, order)
+	return len(g.order) == n
+}
+
+// forest builds the join forest of a complete ear removal.
+func (g *ears) forest() *joinForest {
+	return g.f.newJoinForest(g.parent, g.order, g.masked)
 }
 
 // holdsAll reports whether fact w holds every variable of vars.
@@ -126,10 +163,25 @@ func (f *Form) holdsAll(w int, vars []uint32) bool {
 }
 
 // newJoinForest completes a successful ear removal: the descent order
-// and each fact's shared and fresh positions.
-func (f *Form) newJoinForest(parent []int32, order []uint32) *joinForest {
+// and each fact's shared and fresh positions. A masked variable is
+// never shared: the rows a leaf seeds all agree on its one value, so
+// every fact holding it binds it as fresh.
+func (f *Form) newJoinForest(parent []int32, order []uint32, masked []bool) *joinForest {
 	n := len(parent)
 	fo := &joinForest{acyclic: true, parent: parent, order: order, pre: make([]uint32, 0, n)}
+
+	// A fact whose variables in common with its parent were all masked
+	// after its removal becomes a root: no variable outside the mask
+	// runs through that link, and a link must share one.
+	if masked != nil {
+		for e, p := range parent {
+			if p >= 0 && !slices.ContainsFunc(f.facts[e].args, func(v uint32) bool {
+				return !masked[v] && slices.Contains(f.facts[p].args, v)
+			}) {
+				parent[e] = -1
+			}
+		}
+	}
 
 	// Children as linked lists in fact order, then an iterative preorder
 	// walk of each tree.
@@ -172,7 +224,7 @@ func (f *Form) newJoinForest(parent []int32, order []uint32) *joinForest {
 				continue
 			}
 			k := -1
-			if p := parent[e]; p >= 0 {
+			if p := parent[e]; p >= 0 && (masked == nil || !masked[fe.args[j]]) {
 				k = slices.Index(f.facts[p].args, fe.args[j])
 			}
 			if k >= 0 {

@@ -322,13 +322,15 @@ func TestAcyclicMemoizedPerInstance(t *testing.T) {
 // TestConcurrentFirstSearches runs the first searches over shared,
 // never compiled instances from several goroutines at once, as jobs do
 // over a shared universe entry: every goroutine must get the one form
-// published on each instance and the one verdict, and the searches must
-// agree, on the join tree and on the backtracker.
+// published on each instance, the one verdict and the one cut, and the
+// searches must agree, on the join tree, the cutset search and the
+// backtracker.
 func TestConcurrentFirstSearches(t *testing.T) {
 	const goroutines = 8
 	for round := 0; round < 10; round++ {
 		chain, cycle, to := genex.ParityChain(5).I, genex.ParityCycle(5).I, relaxedParity()
 		forms := make([][2]*Form, goroutines)
+		cuts := make([]*joinForest, goroutines)
 		answers := make([]string, goroutines)
 		var wg sync.WaitGroup
 		for g := range goroutines {
@@ -336,21 +338,28 @@ func TestConcurrentFirstSearches(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				ctx := context.Background()
-				rc, rk := Build(ctx, chain, to, nil), Build(ctx, cycle, to, nil)
+				rc := Build(ctx, instance.NewPointed(chain), instance.NewPointed(to))
+				rk := Build(ctx, instance.NewPointed(cycle), instance.NewPointed(to))
 				if !Acyclic(ctx, chain) || Acyclic(ctx, cycle) {
 					t.Error("the chain must read acyclic and the cycle cyclic")
 					return
 				}
-				sol, ok := rc.FindJoin(ctx)
-				_, okCycle := rk.Find(ctx, 1)
-				forms[g] = [2]*Form{rc.src, rk.dst}
-				answers[g] = fmt.Sprint(sol, ok, okCycle)
+				sol := make([]uint32, rc.NumVars())
+				ok, _ := rc.Find(ctx, rc.Cut(ctx), 1, sol)
+				ck := rk.Cut(ctx)
+				okCut, path := rk.Find(ctx, ck, 1, nil)
+				okCycle, _ := rk.Find(ctx, Cut{}, 1, nil)
+				forms[g], cuts[g] = [2]*Form{rc.src, rk.dst}, ck.forest
+				answers[g] = fmt.Sprint(sol, ok, okCut, path, okCycle)
 			}()
 		}
 		wg.Wait()
 		for g := range forms {
 			if forms[g] != [2]*Form{compile(chain), compile(to)} {
 				t.Fatalf("round %d: goroutine %d searched over a form the instances do not hold", round, g)
+			}
+			if cuts[g] == nil || cuts[g] != cuts[0] {
+				t.Fatalf("round %d: goroutine %d searched under a cut the cycle's form does not keep", round, g)
 			}
 			if answers[g] != answers[0] {
 				t.Fatalf("round %d: goroutine %d answered %s, goroutine 0 %s", round, g, answers[g], answers[0])

@@ -9,17 +9,20 @@ import (
 
 // This file is the Yannakakis-style evaluator for α-acyclic sources
 // (Yannakakis 1981; Durand & Grandjean 2007), on the ids and CSR rows
-// the backtracker reads. A source fact's candidates are an alive bitset
-// over its target relation's rows. A bottom-up semi-join pass in
-// ear-removal order reduces each parent against its children, and a
-// top-down pass each child against its reduced parent; then every alive
-// row takes part in a homomorphism, so the descent, nested loops over
-// the facts in preorder, never backtracks past a fact. A semi-join or a
+// the backtracker reads: the whole search for an α-acyclic source, and
+// each leaf of a cutset search (cutset.go), which runs it over the
+// source with the cut's variables removed and seeds it from the leaf's
+// domains. A source fact's candidates are an alive bitset over its
+// target relation's rows. A bottom-up semi-join pass in ear-removal
+// order reduces each parent against its children, and a top-down pass
+// each child against its reduced parent; then every alive row takes
+// part in a homomorphism, so the descent, nested loops over the facts
+// in preorder, never backtracks past a fact. A semi-join or a
 // descent step looks a row up in the other fact's smallest bucket at a
 // shared variable and compares the rest: no tuple, string or map is
 // built per search.
 
-// joiner is the mutable state of one join-tree search over a Rep. Its
+// joiner is the mutable state of one join-tree pass over a Rep. Its
 // slices are windows into arena scratch.
 type joiner struct {
 	r    *Rep
@@ -27,6 +30,9 @@ type joiner struct {
 	ctx  context.Context
 	done <-chan struct{}
 	rec  *obs.Recorder
+	// dom is the domain array the pass seeds from: the Rep's seeded
+	// domains, or a cutset leaf's.
+	dom []uint64
 
 	// alive[aliveOff[e]:aliveOff[e+1]] is fact e's survivor bitset over
 	// its target relation's rows.
@@ -36,43 +42,22 @@ type joiner struct {
 	// candidate walk at preorder level i (rows of a root, bucket
 	// entries otherwise); sol is the solution vector the descent binds.
 	cur, lo, hi, sol []uint32
-
-	ints   []uint32 // the arena buffer aliveOff to sol share
-	parked *scratch
 }
 
-// FindJoin returns one solution of an α-acyclic source (see Acyclic)
-// through the join tree: the first FindAllJoin yields.
-func (r *Rep) FindJoin(ctx context.Context) ([]uint32, bool) {
-	var sol []uint32
-	found := false
-	r.FindAllJoin(ctx, func(s []uint32) bool {
-		sol, found = append([]uint32(nil), s...), true
-		return false
-	})
-	return sol, found
-}
-
-// FindAllJoin enumerates every solution of an α-acyclic source (see
-// Acyclic) through the join tree, yielding each until yield returns
-// false. The yielded slice is reused: yield must copy what it keeps.
-func (r *Rep) FindAllJoin(ctx context.Context, yield func([]uint32) bool) {
-	fo := r.src.joinForest(ctx)
-	if !fo.acyclic {
-		panic("compact: join-tree search over a cyclic source")
-	}
-	j := &joiner{r: r, fo: fo, ctx: ctx, rec: obs.FromContext(ctx), parked: r.arena.get()}
-	if ctx != nil {
-		j.done = ctx.Done()
-	}
-	defer func() { // return the buffers to the arena
-		j.parked.alive, j.parked.joinInts = j.alive, j.ints
-		r.arena.put(j.parked)
-	}()
+// join runs the join tree of the cut's forest (α-acyclic, see Cut)
+// from the searcher's domains, with its buffers in the searcher's
+// scratch, yielding every solution until yield returns false; it
+// returns false when yield stopped it. The yielded slice is reused:
+// yield must copy what it keeps. Its time is the semijoin phase.
+func (s *searcher) join(yield func([]uint32) bool) bool {
+	sp := s.rec.StartSpan(obs.PhaseSemijoin)
+	defer sp.End()
+	r, sc := s.r, s.sc
+	j := &joiner{r: r, fo: s.cut.forest, ctx: s.ctx, done: s.done, rec: s.rec, dom: s.dom}
 	n := len(r.facts)
-	j.ints = resize(j.parked.joinInts, 4*n+1+r.nv)
-	j.aliveOff, j.cur, j.lo = j.ints[:n+1], j.ints[n+1:2*n+1], j.ints[2*n+1:3*n+1]
-	j.hi, j.sol = j.ints[3*n+1:4*n+1], j.ints[4*n+1:]
+	sc.joinInts = resize(sc.joinInts, 4*n+1+r.nv)
+	j.aliveOff, j.cur, j.lo = sc.joinInts[:n+1], sc.joinInts[n+1:2*n+1], sc.joinInts[2*n+1:3*n+1]
+	j.hi, j.sol = sc.joinInts[3*n+1:4*n+1], sc.joinInts[4*n+1:]
 	words := 0
 	for e, f := range r.facts {
 		j.aliveOff[e] = uint32(words)
@@ -81,13 +66,15 @@ func (r *Rep) FindAllJoin(ctx context.Context, yield func([]uint32) bool) {
 		}
 	}
 	j.aliveOff[n] = uint32(words)
-	j.alive = resize(j.parked.alive, words)
+	sc.alive = resize(sc.alive, words)
+	j.alive = sc.alive
 	clear(j.alive)
 
 	j.rec.Add(obs.CtrJoinTreeNodes, int64(n))
 	if j.seed() && j.reduce() {
-		j.descend(yield)
+		return j.descend(yield)
 	}
+	return true
 }
 
 // aliveOf returns fact e's survivor bitset.
@@ -96,11 +83,11 @@ func (j *joiner) aliveOf(e uint32) []uint64 {
 }
 
 // seed marks, for every fact, the rows of its target relation that can
-// be its image under the seeded domains: repeated variables get equal
-// values, and each distinct variable's value lies in its seeded domain.
-// ok=false means some fact has no such row, so no homomorphism exists.
+// be its image under the domains: repeated variables get equal values,
+// and each distinct variable's value lies in its domain. ok=false means
+// some fact has no such row, so no homomorphism exists.
 func (j *joiner) seed() bool {
-	r := j.r
+	r, dom := j.r, j.dom
 	for e, f := range r.facts {
 		poll(j.ctx, j.done)
 		if f.rel == nil {
@@ -111,7 +98,7 @@ func (j *joiner) seed() bool {
 		for row := 0; row < f.rel.nrows; row++ {
 			vals := f.rel.row(row)
 			for k, w := range vals {
-				if vals[f.firstPos[k]] != w || r.init[int(f.args[k])*r.words+int(w/64)]&(uint64(1)<<(w%64)) == 0 {
+				if vals[f.firstPos[k]] != w || dom[int(f.args[k])*r.words+int(w/64)]&(uint64(1)<<(w%64)) == 0 {
 					continue rows
 				}
 			}
@@ -213,12 +200,12 @@ func (r *Rep) match(vals []uint32, rb *relData, alive []uint64, kpos, bpos []uin
 
 // descend enumerates the reduced relations as nested loops over the
 // facts in preorder, yielding the solution vector at each full
-// assignment; it returns when yield returns false or the loops end.
-func (j *joiner) descend(yield func([]uint32) bool) {
+// assignment; it returns false when yield returns false, and true when
+// the loops end.
+func (j *joiner) descend(yield func([]uint32) bool) bool {
 	r, pre := j.r, j.fo.pre
 	if len(pre) == 0 {
-		yield(j.sol) // the empty source maps once
-		return
+		return yield(j.sol) // the empty source maps once
 	}
 	j.open(0)
 	//cqlint:ignore ctxloop -- each step advances one level's finite walk or leaves the level; bound rows poll ctx
@@ -240,9 +227,10 @@ func (j *joiner) descend(yield func([]uint32) bool) {
 			i++
 			j.open(i)
 		} else if !yield(j.sol) {
-			return
+			return false
 		}
 	}
+	return true
 }
 
 // link returns, for the fact at preorder level i, its parent's current

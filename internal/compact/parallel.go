@@ -1,7 +1,7 @@
 package compact
 
 import (
-	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -58,22 +58,16 @@ func (s *searcher) reset(state []uint64) {
 	s.epoch++
 }
 
-// split expands the top of the search tree into up to maxJobs
-// propagated prefix snapshots, in deterministic left-to-right order.
-// alive=false means the root propagation already refuted the search.
-// An empty job list with alive=true means the expansion itself refuted
-// every branch.
-func (r *Rep) split(ctx context.Context, maxJobs int) (jobs [][]uint64, alive bool) {
-	s := r.newSearcher(ctx, r.init, nil)
-	defer s.release()
-	if !s.propagateAll() {
-		return nil, false
-	}
-	queue := [][]uint64{append([]uint64(nil), s.dom...)}
+// split expands the top of the search tree, from the searcher's
+// propagated root, into up to maxJobs propagated prefix snapshots, in
+// deterministic left-to-right order. An empty job list means the
+// expansion itself refuted every branch.
+func (s *searcher) split(maxJobs int) [][]uint64 {
+	queue := [][]uint64{slices.Clone(s.dom)}
 	expansions := 0
 	i := 0
 	for i < len(queue) && len(queue) < maxJobs && expansions < maxSplitExpansions {
-		solve.Check(ctx)
+		solve.Check(s.ctx)
 		s.reset(queue[i])
 		v, ok := s.pickVar()
 		if !ok {
@@ -89,7 +83,7 @@ func (r *Rep) split(ctx context.Context, maxJobs int) (jobs [][]uint64, alive bo
 			s.epoch++
 			s.assign(v, w)
 			if s.propagateFrom(v) {
-				children = append(children, append([]uint64(nil), s.dom...))
+				children = append(children, slices.Clone(s.dom))
 			} else {
 				s.rec.Add(obs.CtrHomBacktracks, 1)
 			}
@@ -100,23 +94,22 @@ func (r *Rep) split(ctx context.Context, maxJobs int) (jobs [][]uint64, alive bo
 		rest := append(children, queue[i+1:]...)
 		queue = append(queue[:i], rest...)
 	}
-	return queue, true
+	return queue
 }
 
-// findParallel races workers over the prefix jobs; first witness wins.
-// handled=false means the search was too small to split profitably and
-// the caller should run sequentially.
-func (r *Rep) findParallel(ctx context.Context, workers int) (sol []uint32, ok, handled bool) {
-	jobs, alive := r.split(ctx, splitFactor*workers)
-	if !alive || len(jobs) == 0 {
-		return nil, false, true
-	}
-	if len(jobs) == 1 {
-		// Nothing to fan out; continue from the propagated prefix.
-		s := r.newSearcher(ctx, jobs[0], nil)
-		defer s.release()
-		sol = s.find(0)
-		return sol, sol != nil, true
+// findParallel races workers over the prefix jobs split from the
+// searcher's propagated root; the first witness wins, and yield gets
+// it on the calling goroutine once the pool has joined. A single job
+// continues on the searcher itself.
+func (s *searcher) findParallel(workers int, yield func([]uint32) bool) {
+	r, ctx := s.r, s.ctx
+	jobs := s.split(splitFactor * workers)
+	if len(jobs) <= 1 {
+		if len(jobs) == 1 {
+			s.reset(jobs[0])
+			s.search(0, yield)
+		}
+		return
 	}
 	var (
 		stop     stopFlag
@@ -149,15 +142,15 @@ func (r *Rep) findParallel(ctx context.Context, workers int) (sol []uint32, ok, 
 					return
 				}
 				ws.reset(jobs[i])
-				if s := ws.find(0); s != nil {
+				ws.search(0, func(sol []uint32) bool {
 					mu.Lock()
 					if found == nil {
-						found = s
+						found = slices.Clone(sol)
 					}
 					mu.Unlock()
 					stop.set()
-					return
-				}
+					return false
+				})
 			}
 		}()
 	}
@@ -165,23 +158,24 @@ func (r *Rep) findParallel(ctx context.Context, workers int) (sol []uint32, ok, 
 	if panicked != nil {
 		panic(panicked)
 	}
-	return found, found != nil, true
+	if found != nil {
+		yield(found)
+	}
 }
 
-// findAllParallel enumerates every prefix job across the worker pool
-// and yields the buffered answers in prefix order. handled=false means
-// the search was too small to split; the caller should run
-// sequentially.
-func (r *Rep) findAllParallel(ctx context.Context, workers int, yield func([]uint32) bool) (handled bool) {
-	jobs, alive := r.split(ctx, splitFactor*workers)
-	if !alive || len(jobs) == 0 {
-		return true
-	}
-	if len(jobs) == 1 {
-		s := r.newSearcher(ctx, jobs[0], nil)
-		defer s.release()
-		s.enum(0, yield)
-		return true
+// findAllParallel enumerates the prefix jobs split from the searcher's
+// propagated root across the worker pool and yields the buffered
+// answers in prefix order. A single job continues on the searcher
+// itself.
+func (s *searcher) findAllParallel(workers int, yield func([]uint32) bool) {
+	r, ctx := s.r, s.ctx
+	jobs := s.split(splitFactor * workers)
+	if len(jobs) <= 1 {
+		if len(jobs) == 1 {
+			s.reset(jobs[0])
+			s.search(0, yield)
+		}
+		return
 	}
 	var (
 		stop     stopFlag
@@ -218,8 +212,8 @@ func (r *Rep) findAllParallel(ctx context.Context, workers int, yield func([]uin
 				}
 				ws.reset(jobs[i])
 				var buf [][]uint32
-				ws.enum(0, func(sol []uint32) bool {
-					buf = append(buf, sol)
+				ws.search(0, func(sol []uint32) bool {
+					buf = append(buf, slices.Clone(sol))
 					return true
 				})
 				mu.Lock()
@@ -259,5 +253,4 @@ drain:
 	if p != nil {
 		panic(p)
 	}
-	return true
 }

@@ -81,10 +81,11 @@ type Options struct {
 	// is ignored. Callers exposing this as configuration should reject
 	// the dead combinations loudly (cqfitd and cqfit do).
 	MemoSpill bool
-	// ForceBacktrack disables the acyclicity-aware join-tree fast path,
-	// routing every hom search through the generic backtracking solver.
-	// Mainly for conformance runs that cross-check the two dispatch
-	// paths, and for apples-to-apples benchmarking.
+	// ForceBacktrack disables the structure-aware dispatch (the join
+	// tree and the cutset search), routing every hom search through the
+	// generic backtracking solver. Mainly for conformance runs that
+	// cross-check the dispatch paths, and for apples-to-apples
+	// benchmarking.
 	ForceBacktrack bool
 	// SearchWorkers is the per-search parallelism of the compact
 	// backtracking core: hard searches split their top levels across up
@@ -749,7 +750,8 @@ func withEngineCaches(ctx context.Context, m *Memo) context.Context {
 // job's context: the memo (when enabled), the compiled candidate
 // universes, the dispatch-path counters, and the compact-search arena
 // and worker budget. ForceBacktrack pins
-// the hom dispatch mode so the join-tree fast path never engages.
+// the hom dispatch mode so the join tree and the cutset search never
+// engage.
 func (e *Engine) solverContext(ctx context.Context) context.Context {
 	if e.memo != nil {
 		ctx = withEngineCaches(ctx, e.memo)
@@ -867,7 +869,8 @@ type Stats struct {
 	// is active.
 	MemoSpill *SpillStats `json:"memo_spill,omitempty"`
 	// Dispatch reports how many hom searches each dispatch path served:
-	// the join-tree fast path for α-acyclic sources vs the generic
+	// the join-tree fast path for α-acyclic sources, the cutset search
+	// for cyclic sources with a small cycle cutset, and the generic
 	// backtracking solver.
 	Dispatch DispatchStats `json:"hom_dispatch"`
 	// Durations holds the fixed-bucket latency histograms (cqfitd turns
@@ -878,6 +881,7 @@ type Stats struct {
 // DispatchStats counts hom-search dispatch decisions per path.
 type DispatchStats struct {
 	JoinTree  int64 `json:"jointree"`
+	Cutset    int64 `json:"cutset"`
 	Backtrack int64 `json:"backtrack"`
 }
 
@@ -979,7 +983,7 @@ func (e *Engine) Stats() Stats {
 		Active:  e.streamsActive.Load(),
 		Results: e.streamResults.Load(),
 	}
-	s.Dispatch.JoinTree, s.Dispatch.Backtrack = e.dispatch.Snapshot()
+	s.Dispatch.JoinTree, s.Dispatch.Cutset, s.Dispatch.Backtrack = e.dispatch.Snapshot()
 	s.Durations.Job = e.jobDur.Snapshot()
 	s.Durations.Queue = e.queueWait.Snapshot()
 	for phase, h := range e.phaseDur {

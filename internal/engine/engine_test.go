@@ -501,8 +501,8 @@ func TestDispatchStatsAndForceBacktrack(t *testing.T) {
 	if sa.Dispatch.JoinTree == 0 {
 		t.Errorf("auto engine recorded no join-tree dispatches: %+v", sa.Dispatch)
 	}
-	if sf.Dispatch.JoinTree != 0 {
-		t.Errorf("forced engine took the join-tree path %d times", sf.Dispatch.JoinTree)
+	if sf.Dispatch.JoinTree != 0 || sf.Dispatch.Cutset != 0 {
+		t.Errorf("forced engine took the join-tree or cutset path: %+v", sf.Dispatch)
 	}
 	if sf.Dispatch.Backtrack == 0 {
 		t.Errorf("forced engine recorded no dispatch decisions: %+v", sf.Dispatch)

@@ -10,37 +10,49 @@ import (
 )
 
 // This file is the structure-aware dispatch in front of the hom search.
-// Both evaluators run in internal/compact, on the compiled forms of the
-// source and the target: sources whose query hypergraph is α-acyclic
-// take the Yannakakis-style join tree, all others the GAC backtracking
-// core. Dispatch sits below the memo cache, so cached entries are
+// The search runs in internal/compact, on the compiled forms of the
+// source and the target, and branches on a conditioning set C of source
+// variables before the join tree finishes the acyclic rest: dispatch
+// only chooses C. It sits below the memo cache, so cached entries are
 // path-independent.
 
-// DispatchMode selects how the hom search routes between the join-tree
-// fast path and the backtracking search.
+// DispatchMode selects how the hom search chooses its conditioning set.
 type DispatchMode int
 
 const (
-	// DispatchAuto probes the source's hypergraph and takes the
-	// join-tree path when it is α-acyclic. The default.
+	// DispatchAuto takes the cut compact keeps on the source's form: C
+	// = ∅ (the join tree) for an α-acyclic source, a small cycle cutset
+	// when one fits the leaf budget, every variable otherwise. The
+	// default.
 	DispatchAuto DispatchMode = iota
-	// DispatchBacktrack forces the generic backtracking search, skipping
-	// the acyclicity probe. Used by conformance and property tests to
-	// cross-check the two paths, and by the engine's ForceBacktrack
-	// option.
+	// DispatchBacktrack sets C to every variable, the generic
+	// backtracking search, skipping the structure probe. Used by
+	// conformance and property tests to cross-check the paths, and by
+	// the engine's ForceBacktrack option.
 	DispatchBacktrack
 )
 
 // DispatchStats counts, per engine, how many hom searches each dispatch
-// path served. Safe for concurrent use; the zero value is ready.
+// path served; a search cut short by its context is not counted. Safe
+// for concurrent use; the zero value is ready.
 type DispatchStats struct {
-	jointree  atomic.Int64
-	backtrack atomic.Int64
+	paths [3]atomic.Int64 // indexed by compact.Path
 }
 
-// Snapshot returns the current (jointree, backtrack) counts.
-func (d *DispatchStats) Snapshot() (jointree, backtrack int64) {
-	return d.jointree.Load(), d.backtrack.Load()
+// Snapshot returns the current (jointree, cutset, backtrack) counts.
+func (d *DispatchStats) Snapshot() (jointree, cutset, backtrack int64) {
+	return d.paths[compact.PathJoinTree].Load(), d.paths[compact.PathCutset].Load(), d.paths[compact.PathBacktrack].Load()
+}
+
+// pathCounter names a path's counter in explain reports.
+func pathCounter(p compact.Path) obs.Counter {
+	switch p {
+	case compact.PathJoinTree:
+		return obs.CtrDispatchJoinTree
+	case compact.PathCutset:
+		return obs.CtrDispatchCutset
+	}
+	return obs.CtrDispatchBacktrack
 }
 
 type dispatchModeKey struct{}
@@ -102,64 +114,53 @@ func searchWorkersFrom(ctx context.Context) int {
 	return n
 }
 
-// joinTree decides the dispatch path for this search and counts it:
-// true when the mode allows the join tree and the source is α-acyclic.
-// The acyclicity probe runs under its own phase span; its verdict is
-// memoized on the source's compiled form, so on a hot source it is one
-// load.
-func (s *search) joinTree() bool {
-	jt := dispatchModeFrom(s.ctx) != DispatchBacktrack && s.acyclic()
-	if jt {
-		s.rec.Add(obs.CtrDispatchJoinTree, 1)
-	} else {
-		s.rec.Add(obs.CtrDispatchBacktrack, 1)
+// cut chooses the search's conditioning set: every variable when
+// dispatch is forced to the backtracker, otherwise the cut compact
+// keeps on the source's compiled form for its pinned variables,
+// computed under the hypergraph_decompose span on first use and a
+// load after.
+func (s *search) cut() compact.Cut {
+	if dispatchModeFrom(s.ctx) == DispatchBacktrack {
+		return compact.Cut{}
 	}
-	if stats := dispatchStatsFrom(s.ctx); stats != nil {
-		if jt {
-			stats.jointree.Add(1)
-		} else {
-			stats.backtrack.Add(1)
-		}
-	}
-	return jt
-}
-
-func (s *search) acyclic() bool {
 	sp := s.rec.StartSpan(obs.PhaseHypergraphDecompose)
 	defer sp.End()
-	return compact.Acyclic(s.ctx, s.from.I)
+	return s.rep.Cut(s.ctx)
 }
 
-// find returns one solution through the dispatched evaluator.
-func (s *search) find() ([]uint32, bool) {
-	if s.joinTree() {
-		sp := s.rec.StartSpan(obs.PhaseSemijoin)
-		defer sp.End()
-		return s.rep.FindJoin(s.ctx)
+// count records the path a search took on the recorder and in the
+// context's DispatchStats.
+func (s *search) count(p compact.Path) {
+	s.rec.Add(pathCounter(p), 1)
+	if stats := dispatchStatsFrom(s.ctx); stats != nil {
+		stats.paths[p].Add(1)
 	}
-	return s.rep.Find(s.ctx, searchWorkersFrom(s.ctx))
 }
 
-// findAll yields every solution through the dispatched evaluator. The
-// backtracker's order is deterministic for a fixed worker count and, by
-// the splitter's prefix-ordered merge, identical across worker counts.
+// find reports whether a homomorphism exists and copies the one found
+// into sol unless sol is nil.
+func (s *search) find(sol []uint32) bool {
+	ok, path := s.rep.Find(s.ctx, s.cut(), searchWorkersFrom(s.ctx), sol)
+	s.count(path)
+	return ok
+}
+
+// findAll yields every solution. The backtracker's order is
+// deterministic for a fixed worker count and, by the splitter's
+// prefix-ordered merge, identical across worker counts.
 func (s *search) findAll(yield func([]uint32) bool) {
-	if s.joinTree() {
-		sp := s.rec.StartSpan(obs.PhaseSemijoin)
-		defer sp.End()
-		s.rep.FindAllJoin(s.ctx, yield)
-		return
-	}
-	s.rep.FindAll(s.ctx, searchWorkersFrom(s.ctx), yield)
+	s.count(s.rep.FindAll(s.ctx, s.cut(), searchWorkersFrom(s.ctx), yield))
 }
 
 // assignment converts a solution into the value-level assignment the
-// hom layer returns, with the fixed images of distinguished elements
-// outside adom(from) merged in.
+// hom layer returns, with the images of distinguished elements outside
+// adom(from) merged in.
 func (s *search) assignment(sol []uint32) Assignment {
 	a := Assignment(s.rep.ToAssignment(sol))
-	for k, b := range s.fixed {
-		a[k] = b
+	for i, x := range s.from.Tuple {
+		if !s.from.I.InDom(x) {
+			a[x] = s.to.Tuple[i]
+		}
 	}
 	return a
 }

@@ -13,11 +13,14 @@ import (
 // BenchmarkDispatch measures the structure-aware dispatch against the
 // forced backtracker. On the α-acyclic parity chains (4-ary links that
 // defeat GAC pruning, see genex) the join tree stays flat while the
-// backtracker grows ~2^n; on the cyclic K7 → K6 search the auto path
-// pays the acyclicity probe, memoized on the source's compiled form, on
-// top of the same backtracking search. nodes/op, the backtracking
-// search nodes per check (0 on the join tree), is exact on any host;
-// the times are wall clock.
+// backtracker grows ~2^n; on the cyclic parity cycles the cutset
+// search branches on {x1, y1} and finishes two join-tree leaves, flat
+// too, while the backtracker walks 2^(n-7)−1 nodes; on the cyclic
+// K7 → K6 search, whose cut is past the leaf budget, the auto path pays
+// the structure probe, memoized on the source's compiled form, on top
+// of the same backtracking search. nodes/op, the branch nodes per check
+// (0 on the join tree), and leaves/op, the cutset search's join-tree
+// leaves, are exact on any host; the times are wall clock.
 func BenchmarkDispatch(b *testing.B) {
 	forced := WithDispatchMode(context.Background(), DispatchBacktrack)
 	run := func(name string, from, to instance.Pointed) {
@@ -34,12 +37,16 @@ func BenchmarkDispatch(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(rec.Count(obs.CtrHomNodes))/float64(b.N), "nodes/op")
+				b.ReportMetric(float64(rec.Count(obs.CtrCutsetLeaves))/float64(b.N), "leaves/op")
 			})
 		}
 	}
 	parity := genex.ParityTarget()
 	for n := 3; n <= 13; n++ {
 		run(fmt.Sprintf("chain=%d", n), genex.ParityChain(n), parity)
+	}
+	for n := 12; n <= 20; n++ {
+		run(fmt.Sprintf("cycle=%d", n), genex.ParityCycle(n), parity)
 	}
 	run("K7->K6", genex.Clique(7), genex.Clique(6))
 }

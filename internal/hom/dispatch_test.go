@@ -11,6 +11,7 @@ import (
 	"extremalcq/internal/compact"
 	"extremalcq/internal/genex"
 	"extremalcq/internal/instance"
+	"extremalcq/internal/obs"
 )
 
 // canonAssignment renders an assignment as a canonical string so answer
@@ -137,21 +138,32 @@ func TestDispatchAgreementFamilies(t *testing.T) {
 	}
 }
 
-// TestDispatchCounters checks that the probe records its decision on
-// the recorder and in the context-carried DispatchStats.
+// TestDispatchCounters checks that each search records the path it
+// took on the recorder and in the context-carried DispatchStats: the
+// join tree for an acyclic source, the cutset search for C3 → C3 (one
+// peeled variable, three leaves at most), the backtracker for K6 → K5,
+// whose four peeled variables would give 5^4 leaves, and for any search
+// with dispatch forced.
 func TestDispatchCounters(t *testing.T) {
 	var stats DispatchStats
-	ctx := WithDispatchStats(context.Background(), &stats)
+	rec := obs.NewRecorder()
+	ctx := obs.WithRecorder(WithDispatchStats(context.Background(), &stats), rec)
 	ExistsCtx(ctx, genex.DirectedPath(3), genex.DirectedCycle(3))  // acyclic source
-	ExistsCtx(ctx, genex.DirectedCycle(3), genex.DirectedCycle(3)) // cyclic source
-	jt, bt := stats.Snapshot()
-	if jt != 1 || bt != 1 {
-		t.Fatalf("dispatch stats = (%d, %d), want (1, 1)", jt, bt)
+	ExistsCtx(ctx, genex.DirectedCycle(3), genex.DirectedCycle(3)) // cyclic source, small cut
+	ExistsCtx(ctx, genex.Clique(6), genex.Clique(5))               // cyclic source, cut past the budget
+	jt, cs, bt := stats.Snapshot()
+	if jt != 1 || cs != 1 || bt != 1 {
+		t.Fatalf("dispatch stats = (%d, %d, %d), want (1, 1, 1)", jt, cs, bt)
+	}
+	got := [3]int64{rec.Count(obs.CtrDispatchJoinTree), rec.Count(obs.CtrDispatchCutset), rec.Count(obs.CtrDispatchBacktrack)}
+	if got != [3]int64{1, 1, 1} {
+		t.Fatalf("recorder dispatch counters = %v, want [1 1 1]", got)
 	}
 	forced := WithDispatchMode(ctx, DispatchBacktrack)
 	ExistsCtx(forced, genex.DirectedPath(3), genex.DirectedCycle(3))
-	if _, bt = stats.Snapshot(); bt != 2 {
-		t.Fatalf("forced backtrack not counted: backtrack=%d, want 2", bt)
+	ExistsCtx(forced, genex.DirectedCycle(3), genex.DirectedCycle(3))
+	if jt, cs, bt = stats.Snapshot(); jt != 1 || cs != 1 || bt != 3 {
+		t.Fatalf("forced backtrack not counted: dispatch stats = (%d, %d, %d), want (1, 1, 3)", jt, cs, bt)
 	}
 }
 

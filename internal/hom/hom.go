@@ -30,14 +30,14 @@ func Exists(from, to instance.Pointed) bool {
 func ExistsCtx(ctx context.Context, from, to instance.Pointed) bool {
 	c := cacheFrom(ctx)
 	if c == nil {
-		_, ok := FindCtx(ctx, from, to)
+		_, ok := find(ctx, from, to, false)
 		return ok
 	}
 	k := instance.DigestPair(from, to)
 	if exists, ok := c.GetHom(ctx, k); ok {
 		return exists
 	}
-	_, exists := FindCtx(ctx, from, to)
+	_, exists := find(ctx, from, to, false)
 	c.PutHom(ctx, k, exists)
 	return exists
 }
@@ -53,6 +53,14 @@ func Find(from, to instance.Pointed) (Assignment, bool) {
 // ctx at every node, so deadlines and cancellation stop work promptly
 // (the unwind is a solve sentinel; see package solve).
 func FindCtx(ctx context.Context, from, to instance.Pointed) (Assignment, bool) {
+	return find(ctx, from, to, true)
+}
+
+// find is the one hom search behind ExistsCtx and FindCtx: it reports
+// whether a homomorphism exists and, when witness is set, returns the
+// one found. Without a witness it keeps nothing, so an exists check
+// allocates no more than compact.Build does.
+func find(ctx context.Context, from, to instance.Pointed, witness bool) (Assignment, bool) {
 	rec := obs.FromContext(ctx)
 	rec.Add(obs.CtrHomSearches, 1)
 	sp := rec.StartSpan(obs.PhaseHomSearch)
@@ -61,8 +69,11 @@ func FindCtx(ctx context.Context, from, to instance.Pointed) (Assignment, bool) 
 	if !ok {
 		return nil, false
 	}
-	sol, ok := s.find()
-	if !ok {
+	if !witness {
+		return nil, s.find(nil)
+	}
+	sol := make([]uint32, s.rep.NumVars())
+	if !s.find(sol) {
 		return nil, false
 	}
 	return s.assignment(sol), true
@@ -142,53 +153,40 @@ func ExistsToAllCtx(ctx context.Context, from instance.Pointed, ts []instance.Po
 	return true
 }
 
-// search is one validated homomorphism problem: the inputs, the
-// required images of the distinguished elements, split by whether they
-// occur in adom(from) (pinned, seeding the solver's domains) or not
-// (fixed, merged into every answer), and the compact form both
-// evaluators run on.
+// search is one validated homomorphism problem: the inputs and the
+// compact form the search runs on.
 type search struct {
-	ctx    context.Context
-	rec    *obs.Recorder // job trace recorder (nil when untraced)
-	from   instance.Pointed
-	pinned Assignment // distinguished elements inside adom(from)
-	fixed  Assignment // distinguished elements outside adom(from)
-	rep    *compact.Rep
+	ctx      context.Context
+	rec      *obs.Recorder // job trace recorder (nil when untraced)
+	from, to instance.Pointed
+	rep      *compact.Rep
 }
 
 // newSearch checks that schemas and arities match, that the
 // distinguished tuple is consistent (h is a function, so repeated
-// source values need equal targets), and that every pinned image lies
-// in adom(to), then builds the compact form. ok=false means no
-// homomorphism can exist.
-func newSearch(ctx context.Context, from, to instance.Pointed) (*search, bool) {
+// source values need equal targets), and that every distinguished
+// element inside adom(from) has its image in adom(to), then builds the
+// compact form. ok=false means no homomorphism can exist. The checks
+// scan the tuples, which are short, and build no map.
+func newSearch(ctx context.Context, from, to instance.Pointed) (search, bool) {
 	if !from.I.Schema().Equal(to.I.Schema()) || from.Arity() != to.Arity() {
-		return nil, false
-	}
-	s := &search{
-		ctx:    ctx,
-		rec:    obs.FromContext(ctx),
-		from:   from,
-		pinned: make(Assignment),
-		fixed:  make(Assignment),
+		return search{}, false
 	}
 	for i, a := range from.Tuple {
 		b := to.Tuple[i]
-		m := s.pinned
-		if !from.I.InDom(a) {
-			m = s.fixed
-		} else if !to.I.InDom(b) {
+		if from.I.InDom(a) && !to.I.InDom(b) {
 			// A distinguished element occurring in a fact must map to a
 			// target value that also occurs in a fact.
-			return nil, false
+			return search{}, false
 		}
-		if prev, ok := m[a]; ok && prev != b {
-			return nil, false
+		for k := range i {
+			if from.Tuple[k] == a && to.Tuple[k] != b {
+				return search{}, false
+			}
 		}
-		m[a] = b
 	}
-	s.rep = compact.Build(ctx, from.I, to.I, s.pinned)
-	return s, true
+	return search{ctx: ctx, rec: obs.FromContext(ctx), from: from, to: to,
+		rep: compact.Build(ctx, from, to)}, true
 }
 
 // ArcConsistent runs the arc-consistency procedure from 'from' to 'to'

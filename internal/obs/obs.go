@@ -123,15 +123,21 @@ const (
 	CtrFaultCore
 	CtrFaultProduct
 	// Hom-search dispatch decisions: jointree is the acyclic fast path,
-	// backtrack the generic GAC search (forced or cyclic source).
+	// cutset the search that branches on a cycle cutset and finishes
+	// each leaf with the join tree, backtrack the generic GAC search
+	// (forced, or a cyclic source whose cut is too large).
 	CtrDispatchJoinTree
 	CtrDispatchBacktrack
+	CtrDispatchCutset
 	// CtrJoinTreeNodes counts join-forest nodes (hyperedges) evaluated
 	// by the semi-join fast path.
 	CtrJoinTreeNodes
 	// CtrSemijoinReductions counts candidate tuples removed by the
 	// bottom-up and top-down semi-join passes.
 	CtrSemijoinReductions
+	// CtrCutsetLeaves counts the join-tree passes cutset searches ran,
+	// one per assignment of the cut that survived propagation.
+	CtrCutsetLeaves
 
 	numCounters
 )
@@ -156,8 +162,10 @@ var counterNames = [numCounters]string{
 	CtrFaultProduct:       "fault_product",
 	CtrDispatchJoinTree:   "dispatch_jointree",
 	CtrDispatchBacktrack:  "dispatch_backtrack",
+	CtrDispatchCutset:     "dispatch_cutset",
 	CtrJoinTreeNodes:      "jointree_nodes",
 	CtrSemijoinReductions: "semijoin_reductions",
+	CtrCutsetLeaves:       "cutset_leaves",
 }
 
 // String returns the stable snake_case name used in reports.
