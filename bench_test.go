@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"extremalcq/internal/cq"
-	"extremalcq/internal/cqtree"
 	"extremalcq/internal/duality"
 	"extremalcq/internal/engine"
 	"extremalcq/internal/fitting"
@@ -632,7 +631,7 @@ func BenchmarkStreamTimeToFirstResult(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Figures 2–4 and supporting constructions
+// Figures 2–3 and supporting constructions
 // ---------------------------------------------------------------------
 
 // Figure 2 workload: disjoint unions of scaling cycles.
@@ -654,27 +653,6 @@ func BenchmarkDirectProduct(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := instance.Product(c1, c2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Figure 4 workload: tree encoding and decoding of c-acyclic CQs plus
-// the proper automaton (Lemma 3.18).
-func BenchmarkTreeEncode(b *testing.B) {
-	rp := MustSchema(Rel{Name: "R", Arity: 2}, Rel{Name: "P", Arity: 1})
-	q := cq.MustParse(rp, "q(x1,x2) :- R(x1,z), R(z,zp), R(x1,zp), P(x2)")
-	proper := cqtree.ProperAutomaton(rp, 2, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, err := cqtree.Encode(q, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !proper.Accepts(t) {
-			b.Fatal("encoding must be proper")
-		}
-		if _, err := cqtree.Decode(t, rp, 2); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -714,22 +692,5 @@ func BenchmarkDualConstruction(b *testing.B) {
 			}
 			b.ReportMetric(float64(elements), "dual_elements")
 		})
-	}
-}
-
-// The fitting automaton of Theorem 3.20: construction plus emptiness.
-func BenchmarkFittingAutomaton(b *testing.B) {
-	e := fitting.MustExamples(genex.SchemaR(), 0,
-		[]Example{mustPointed(genex.SchemaR(), "R(a,b)")},
-		[]Example{instance.NewPointed(instance.New(genex.SchemaR()))})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		auto, err := cqtree.FittingAutomaton(e, 2, 4000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !auto.NonEmpty() {
-			b.Fatal("language must be non-empty")
-		}
 	}
 }

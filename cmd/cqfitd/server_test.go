@@ -216,6 +216,36 @@ func TestCandidateTableTooLarge400(t *testing.T) {
 	}
 }
 
+// TestWideArity400: a schema relation wider than the engine's arity
+// bound is a bad job, refused with 400 on both job endpoints, and the
+// server keeps serving. At max_vars 1 the relation passes the candidate
+// table bound as one fact, and the enumeration's per-position recursion
+// overflowed the stack and killed the process.
+func TestWideArity400(t *testing.T) {
+	ts := newTestServer(t)
+	wide := `{"schema":"P/1,R/6000000","arity":1,"kind":"cq","task":"weakly-most-general",` +
+		`"pos":["P(a) @ a","P(b) @ b"],"neg":["P(b). P(c) @ c"],"max_atoms":1,"max_vars":1}`
+	for _, path := range []string{"/v1/jobs", "/v1/jobs/stream"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(wide))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "arity 6000000; at most 1024") {
+			t.Errorf("%s: status = %d, body %s; want 400 naming the arity bound", path, resp.StatusCode, body)
+		}
+	}
+	resp := postJSON(t, ts.URL+"/v1/jobs", engine.JobSpec{Schema: "R/2", Kind: "cq", Task: "exists", Pos: []string{"R(a,b)"}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("job after the refusal: status = %d, want 200", resp.StatusCode)
+	}
+}
+
 // wmgStreamSpec is an enumeration workload with two weakly most-general
 // answers within the default bounds.
 func wmgStreamSpec() engine.JobSpec {

@@ -28,8 +28,6 @@
 //	cq, ucq   — (unions of) conjunctive queries
 //	frontier  — frontiers (Def 3.21/3.22)
 //	duality   — homomorphism dualities (Thm 2.16, Prop 4.7)
-//	nta       — bottom-up tree automata (Section 2.3)
-//	cqtree    — tree encodings of c-acyclic CQs + automata (Section 3.3)
 //	fitting   — CQ fitting problems (Section 3)
 //	ucqfit    — UCQ fitting problems (Section 4)
 //	tree      — tree-CQ fitting problems (Section 5)

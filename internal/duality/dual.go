@@ -58,11 +58,6 @@ func DualOf(e instance.Pointed) ([]instance.Pointed, error) {
 	return DualOfCaps(e, DefaultCaps())
 }
 
-// DualOfCtx is DualOf under a solver context (see DualOfCaps).
-func DualOfCtx(ctx context.Context, e instance.Pointed) ([]instance.Pointed, error) {
-	return dualOfCaps(ctx, e, DefaultCaps())
-}
-
 // DualOfCaps is DualOf with explicit size caps.
 func DualOfCaps(e instance.Pointed, caps Caps) ([]instance.Pointed, error) {
 	return dualOfCaps(context.Background(), e, caps)

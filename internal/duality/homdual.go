@@ -22,11 +22,6 @@ func DualOfSetCtx(ctx context.Context, F []instance.Pointed) ([]instance.Pointed
 	return dualOfSetCaps(ctx, F, DefaultCaps())
 }
 
-// DualOfSetCaps is DualOfSet with explicit caps.
-func DualOfSetCaps(F []instance.Pointed, caps Caps) ([]instance.Pointed, error) {
-	return dualOfSetCaps(context.Background(), F, caps)
-}
-
 func dualOfSetCaps(ctx context.Context, F []instance.Pointed, caps Caps) ([]instance.Pointed, error) {
 	if len(F) == 0 {
 		return nil, fmt.Errorf("duality: dual of empty set is undefined (every instance would be an obstruction target)")
@@ -152,12 +147,8 @@ func minimizeLower(ctx context.Context, F []instance.Pointed) []instance.Pointed
 	return out
 }
 
-// MaximizeUpper keeps hom-maximal representatives of D: d is dropped if
+// maximizeUpper keeps hom-maximal representatives of D: d is dropped if
 // it maps into some other member (same downward closure).
-func MaximizeUpper(D []instance.Pointed) []instance.Pointed {
-	return maximizeUpper(context.Background(), D)
-}
-
 func maximizeUpper(ctx context.Context, D []instance.Pointed) []instance.Pointed {
 	var out []instance.Pointed
 	for i, d := range D {

@@ -14,6 +14,7 @@ func FuzzJobSpecJSON(f *testing.F) {
 		`"pos":["R(a,b). R(b,c) @ a"],"neg":["P(u) @ u"]}`))
 	f.Add([]byte(`{"schema":"R/2","kind":"tree","task":"verify","q":"q() :- R(x,y)"}`))
 	f.Add([]byte(`{"schema":"R/-1"}`))
+	f.Add([]byte(`{"schema":"P/1,R/6000000"}`))
 	f.Add([]byte(`{"schema":"R/2","arity":-3,"max_atoms":-1,"timeout_ms":-5}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))

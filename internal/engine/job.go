@@ -101,6 +101,15 @@ func (j Job) Validate() error {
 	if j.Examples.Schema == nil {
 		return fmt.Errorf("engine: job has no schema")
 	}
+	// MaxArity reads the schema in place; Relations copies it, and
+	// every job passes here.
+	if sch := j.Examples.Schema; sch.MaxArity() > maxArity {
+		for _, r := range sch.Relations() {
+			if r.Arity > maxArity {
+				return fmt.Errorf("engine: relation %s has arity %d; at most %d is allowed", r.Name, r.Arity, maxArity)
+			}
+		}
+	}
 	if j.Task == TaskVerify && strings.TrimSpace(j.Query) == "" {
 		return fmt.Errorf("engine: verify task needs a query")
 	}
@@ -113,6 +122,16 @@ func (j Job) Validate() error {
 	}
 	return nil
 }
+
+// maxArity bounds the arity of every relation a job's schema declares.
+// The candidate enumeration recurses once per argument position, and at
+// max_vars 1 a relation of any arity is a one-fact table that passes
+// maxCandidateFacts, so without this bound one request could overflow
+// the goroutine stack and kill the process. 1,024 is far above every
+// shipped workload and test (at most 300) and far below the millions of
+// positions an overflow takes. It does not bound work exponential in
+// the arity: the frontier of one R(x,…,x) has 2^arity − 1 facts.
+const maxArity = 1024
 
 // maxCandidateFacts bounds the candidate fact table a weakly
 // most-general or basis search builds before its first check (see

@@ -267,6 +267,50 @@ func TestCandidateTableBounded(t *testing.T) {
 	}
 }
 
+// TestSchemaArityBounded: a schema declaring a relation wider than
+// maxArity is refused before any solver runs, by Build and by Submit;
+// at max_vars 1 such a relation passes the candidate table bound as one
+// fact, and the enumeration's per-position recursion overflowed the
+// stack. A relation exactly at the bound is accepted.
+func TestSchemaArityBounded(t *testing.T) {
+	eng := New(Options{})
+	defer eng.Close()
+	wide := JobSpec{Schema: "P/1,R/6000000", Arity: 1, Kind: "cq", Task: "weakly-most-general",
+		Pos: []string{"P(a) @ a", "P(b) @ b"}, Neg: []string{"P(b). P(c) @ c"}, MaxAtoms: 1, MaxVars: 1}
+	if _, err := wide.Build(); err == nil || !strings.Contains(err.Error(), "relation R has arity 6000000; at most 1024") {
+		t.Errorf("Build accepted R/6000000: %v", err)
+	}
+
+	sch, err := ParseSchema(fmt.Sprintf("R/%d", maxArity+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := Job{Kind: KindCQ, Task: TaskWeaklyMostGeneral, Examples: fitting.MustExamples(sch, 0, nil, nil),
+		Opts: fitting.SearchOpts{MaxAtoms: 1, MaxVars: 1}}
+	for _, res := range []Result{eng.Do(context.Background(), j), eng.DoStream(context.Background(), j, nil)} {
+		if res.Err == nil || !strings.Contains(res.Err.Error(), "at most 1024") {
+			t.Errorf("R/%d submitted: %+v", maxArity+1, res)
+		}
+	}
+	if st := eng.Stats(); st.SolverRuns != 0 || st.JobsDone != 0 {
+		t.Errorf("refused jobs reached execution: solver_runs = %d, jobs_done = %d", st.SolverRuns, st.JobsDone)
+	}
+
+	atBound := wide
+	atBound.Schema = fmt.Sprintf("P/1,R/%d", maxArity)
+	if _, err := atBound.Build(); err != nil {
+		t.Errorf("Build refused R/%d: %v", maxArity, err)
+	}
+	atBound.Task = "construct"
+	j, err = atBound.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := eng.Do(context.Background(), j); res.Err != nil || res.Found {
+		t.Errorf("R/%d construct: %+v; want no fitting", maxArity, res)
+	}
+}
+
 // TestOneShotAndStreamShapeCandidateError: when the weakly most-general
 // CQ search meets the product candidate's error and still finds an
 // answer, the stream keeps its answers next to the error, while the

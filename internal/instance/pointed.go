@@ -208,15 +208,6 @@ func PairValue(a, b Value) Value {
 	return "⟨" + a + "," + b + "⟩"
 }
 
-// TupleValue encodes an n-ary product value ⟨a1,...,an⟩.
-func TupleValue(vals ...Value) Value {
-	parts := make([]string, len(vals))
-	for i, v := range vals {
-		parts[i] = string(v)
-	}
-	return Value("⟨" + strings.Join(parts, ",") + "⟩")
-}
-
 // Product computes the direct product of two pointed instances
 // (Section 2.2): facts R(⟨c1,d1⟩,...) for R(c̄) in I and R(d̄) in J, with
 // distinguished tuple the pairing of the two tuples. The result is a

@@ -38,16 +38,10 @@ func (s *Simulation) Has(a, b instance.Value, src *instance.Instance) bool {
 	return s.pairs[simKey{a, b}]
 }
 
-// GreatestSimulation computes the greatest simulation of I in J
+// greatestSimulation computes the greatest simulation of I in J
 // (Section 5's three conditions) by fixpoint refinement. Runs in
-// polynomial time.
-func GreatestSimulation(src, dst *instance.Instance) *Simulation {
-	return greatestSimulation(context.Background(), src, dst)
-}
-
-// greatestSimulation is GreatestSimulation under a solver context: each
-// refinement round checks ctx, so cancellation stops the fixpoint on
-// large products promptly.
+// polynomial time. Each refinement round checks ctx, so cancellation
+// stops the fixpoint on large products promptly.
 func greatestSimulation(ctx context.Context, src, dst *instance.Instance) *Simulation {
 	rec := obs.FromContext(ctx)
 	sp := rec.StartSpan(obs.PhaseSim)
@@ -179,13 +173,8 @@ func SimEquivalentCtx(ctx context.Context, e1, e2 instance.Pointed) bool {
 	return SimulatesCtx(ctx, e1, e2) && SimulatesCtx(ctx, e2, e1)
 }
 
-// AutoSimulation computes the greatest simulation of an instance in
+// autoSimulation computes the greatest simulation of an instance in
 // itself; used for the complete-initial-piece conditions (Section 5.2).
-func AutoSimulation(in *instance.Instance) *Simulation {
-	return autoSimulation(context.Background(), in)
-}
-
-// autoSimulation is AutoSimulation under a solver context.
 func autoSimulation(ctx context.Context, in *instance.Instance) *Simulation {
 	return greatestSimulation(ctx, in, in)
 }
