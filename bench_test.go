@@ -4,8 +4,9 @@
 // which problems are cheap (PTime rows), which blow up exponentially
 // (product-based rows), and how witness sizes scale (Thm 3.40/3.41/3.42,
 // Thm 5.37) — mirrors the paper. Size metrics are attached with
-// b.ReportMetric so `go test -bench` output doubles as the experiment
-// record (see EXPERIMENTS.md).
+// b.ReportMetric. The performance record is perfbench, not this file:
+// `bash perfbench/run.sh --workload solve-1c|stream-1c|serve-2c`
+// (see perfbench/main.go).
 package extremalcq
 
 import (

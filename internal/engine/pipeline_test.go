@@ -311,6 +311,31 @@ func TestSchemaArityBounded(t *testing.T) {
 	}
 }
 
+// TestWideFrontierStopsAtDeadline: the cq weakly most-general universe
+// builds the frontier of every c-acyclic candidate core, and the
+// frontier of one R(x,…,x) over an answer variable x has 2^arity − 1
+// facts, so at R/18 and max_vars 1 it takes seconds. The replica
+// construction checks the job's context before each fact it emits, so a
+// 100 ms deadline ends the job within 1 s.
+func TestWideFrontierStopsAtDeadline(t *testing.T) {
+	eng := New(Options{})
+	defer eng.Close()
+	j, err := JobSpec{Schema: "P/1,R/18", Arity: 1, Kind: "cq", Task: "weakly-most-general",
+		Pos: []string{"P(a) @ a", "P(b) @ b"}, Neg: []string{"P(b). P(c) @ c"},
+		MaxAtoms: 1, MaxVars: 1, TimeoutMS: 100}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	res := eng.Do(context.Background(), j)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("the job took %v past its 100 ms deadline; want at most 1 s", elapsed)
+	}
+	if !errors.Is(res.Err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want the deadline", res.Err)
+	}
+}
+
 // TestOneShotAndStreamShapeCandidateError: when the weakly most-general
 // CQ search meets the product candidate's error and still finds an
 // answer, the stream keeps its answers next to the error, while the

@@ -20,6 +20,7 @@ import (
 	"extremalcq/internal/hom"
 	"extremalcq/internal/instance"
 	"extremalcq/internal/obs"
+	"extremalcq/internal/solve"
 )
 
 // ErrNotCAcyclic is returned when the core of the input is not c-acyclic;
@@ -66,7 +67,7 @@ func ForCoreCtx(ctx context.Context, core instance.Pointed) ([]instance.Pointed,
 	comps := instance.Components(core)
 	members := make([]instance.Pointed, 0, len(comps))
 	for i := range comps {
-		members = append(members, applyF(core, comps, i))
+		members = append(members, applyF(ctx, core, comps, i))
 	}
 	return members, nil
 }
@@ -85,7 +86,10 @@ func ForCoreCtx(ctx context.Context, core instance.Pointed) ([]instance.Pointed,
 // while its continuation maps through u_x, which requires R(z,u_x). The
 // variants keep soundness because they only ever *remove* the weakened
 // component's pattern at x itself.
-func applyF(core instance.Pointed, comps []instance.Pointed, i int) instance.Pointed {
+//
+// The construction emits up to 2^arity facts for one fact, so it checks
+// ctx before each fact it emits: a deadline stops it mid-fact.
+func applyF(ctx context.Context, core instance.Pointed, comps []instance.Pointed, i int) instance.Pointed {
 	answer := make(map[instance.Value]bool, len(core.Tuple))
 	for _, x := range core.Tuple {
 		answer[x] = true
@@ -98,7 +102,7 @@ func applyF(core instance.Pointed, comps []instance.Pointed, i int) instance.Poi
 			continue
 		}
 		for _, f := range comp.I.Facts() {
-			addAnswerVariants(out, f, answer, namer)
+			addAnswerVariants(ctx, out, f, answer, namer)
 		}
 	}
 
@@ -115,6 +119,7 @@ func applyF(core instance.Pointed, comps []instance.Pointed, i int) instance.Poi
 		var rec func(pos int)
 		rec = func(pos int) {
 			if pos == len(f.Args) {
+				solve.Check(ctx)
 				if hasQualifier(combo) {
 					args := make([]instance.Value, len(combo))
 					for p, r := range combo {
@@ -214,12 +219,14 @@ func (n *replicaNamer) factReplica(y instance.Value, fj int) instance.Value {
 }
 
 // addAnswerVariants adds f together with every variant obtained by
-// independently replacing occurrences of answer variables x by u_x.
-func addAnswerVariants(out *instance.Instance, f instance.Fact, answer map[instance.Value]bool, namer *replicaNamer) {
+// independently replacing occurrences of answer variables x by u_x,
+// checking ctx before each variant it adds.
+func addAnswerVariants(ctx context.Context, out *instance.Instance, f instance.Fact, answer map[instance.Value]bool, namer *replicaNamer) {
 	args := make([]instance.Value, len(f.Args))
 	var rec func(pos int)
 	rec = func(pos int) {
 		if pos == len(f.Args) {
+			solve.Check(ctx)
 			mustAdd(out, instance.Fact{Rel: f.Rel, Args: append([]instance.Value(nil), args...)})
 			return
 		}

@@ -2,7 +2,9 @@ package hom
 
 import (
 	"context"
+	"slices"
 
+	"extremalcq/internal/compact"
 	"extremalcq/internal/instance"
 	"extremalcq/internal/obs"
 	"extremalcq/internal/solve"
@@ -14,7 +16,9 @@ import (
 //
 // The algorithm repeatedly looks for a retraction that avoids some
 // non-distinguished element and replaces the instance by the induced
-// subinstance on the remaining values.
+// subinstance on the remaining values. A retraction only has to move
+// the element's connected component, so each search runs on that
+// component alone (Section 2.2).
 func Core(p instance.Pointed) instance.Pointed {
 	return CoreCtx(context.Background(), p)
 }
@@ -35,57 +39,61 @@ func CoreCtx(ctx context.Context, p instance.Pointed) instance.Pointed {
 	return coreUncached(ctx, p)
 }
 
+// coreUncached retracts p pass by pass. A pass compiles the current
+// instance into itself once and tests the non-distinguished elements in
+// order, each on its own connected component (see compact.Retractions);
+// a test that succeeds drops the values its witness misses from that
+// component, and the pass ends with one restriction to the values left.
+// The first pass that drops nothing ends the loop: no retraction drops
+// any element of what is left, so it is the core.
 func coreUncached(ctx context.Context, p instance.Pointed) instance.Pointed {
 	rec := obs.FromContext(ctx)
 	sp := rec.StartSpan(obs.PhaseCore)
 	defer sp.End()
 	cur := p.Clone()
+	var pass *compact.Retractions
 	for {
 		solve.Check(ctx)
-		dropped := false
-		distinguished := make(map[instance.Value]bool, len(cur.Tuple))
-		for _, a := range cur.Tuple {
-			distinguished[a] = true
-		}
-		for _, m := range cur.I.Dom() {
-			if distinguished[m] {
-				continue
-			}
-			keep := make(map[instance.Value]bool, cur.I.DomSize()-1)
-			for _, v := range cur.I.Dom() {
-				if v != m {
-					keep[v] = true
-				}
-			}
-			target := instance.Pointed{I: cur.I.Restrict(keep), Tuple: cur.Tuple}
-			// The distinguished elements must still occur in the target if
-			// they occurred before (retraction fixes them, so facts over
-			// them must survive the restriction to be mappable). FindCtx
-			// does not memoize, so these single-use intermediate instances
-			// stay out of the bounded cache; the core itself is memoized.
-			if h, ok := FindCtx(ctx, cur, target); ok {
-				rec.Add(obs.CtrCoreRetractions, 1)
-				cur = imageOf(cur, h)
-				dropped = true
-				break
-			}
-		}
-		if !dropped {
+		if onlyDistinguished(cur) {
 			return cur
 		}
+		s := search{ctx: ctx, rec: rec, from: cur, to: cur, rep: compact.Build(ctx, cur, cur)}
+		pass = s.rep.Retractions(pass)
+		for v := range s.rep.NumVars() {
+			if pass.Candidate(v) && s.retract(pass, v) {
+				rec.Add(obs.CtrCoreRetractions, 1)
+			}
+		}
+		keep := pass.Keep()
+		if keep == nil {
+			return cur
+		}
+		cur = instance.Pointed{I: cur.I.Restrict(keep), Tuple: cur.Tuple}
 	}
 }
 
-// imageOf restricts p to the image of h (induced subinstance).
-func imageOf(p instance.Pointed, h Assignment) instance.Pointed {
-	keep := make(map[instance.Value]bool, len(h))
-	for _, w := range h {
-		keep[w] = true
+// onlyDistinguished reports whether every element of p's domain is
+// distinguished. A core keeps those, so such an instance is its own
+// core, and a pass would compile it to test nothing.
+func onlyDistinguished(p instance.Pointed) bool {
+	n := 0
+	for i, a := range p.Tuple {
+		if p.I.InDom(a) && !slices.Contains(p.Tuple[:i], a) {
+			n++
+		}
 	}
-	for _, a := range p.Tuple {
-		keep[a] = true
-	}
-	return instance.Pointed{I: p.I.Restrict(keep), Tuple: p.Tuple}
+	return n == p.I.DomSize()
+}
+
+// retract runs one retraction test of a core pass, counted as one hom
+// search on the backtracking path, which the test takes.
+func (s *search) retract(pass *compact.Retractions, v int) bool {
+	s.rec.Add(obs.CtrHomSearches, 1)
+	sp := s.rec.StartSpan(obs.PhaseHomSearch)
+	defer sp.End()
+	ok := pass.Retract(s.ctx, v)
+	s.count(compact.PathBacktrack)
+	return ok
 }
 
 // IsCore reports whether p is its own core (up to the fixed tuple).
