@@ -8,17 +8,22 @@ import (
 // scratch is the reusable per-search state: the searcher with its
 // buffers (the flat domain word array, the save-epoch array, the undo
 // trail, the per-depth candidate slices, the solution vector, and the
-// propagation worklist with its queued flags and support bitsets), and
-// for the join tree the alive words and the cursors and solution
-// vector. One scratch serves one search at a time, a cutset search's
-// leaves included; the arena recycles them across the memo-missed
-// subproblems of an engine, so a search on a warm arena allocates no
-// state of its own.
+// propagation worklist with its queued flags and support bitsets), for
+// the join tree the alive words and the cursors and solution vector,
+// and for the root's Hall check (hall.go) the candidate numbering, the
+// must-differ neighbour lists and one clique's state. One scratch serves one
+// search at a time, a cutset search's leaves included; the arena
+// recycles them across the memo-missed subproblems of an engine, so a
+// search on a warm arena allocates no state of its own.
 type scratch struct {
 	searcher
 
 	alive    []uint64
 	joinInts []uint32
+
+	hallIdx                                       []int32
+	hallVars, hallOff, hallDeg, hallNbr, hallOpen []uint32
+	hallUnion                                     []uint64
 }
 
 // Arena pools search scratch across searches. It is safe for

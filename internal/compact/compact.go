@@ -6,9 +6,9 @@
 // join tree alone, for α-acyclic sources, and C = every variable the
 // plain backtracker, which also runs the arc-consistency test of
 // Proposition 4.7. Each instance is compiled once into a Form (form.go)
-// cached on the instance; a search's Rep points the source's facts at
-// the target's relations and seeds the candidate domains, []uint64
-// bitsets.
+// cached on the instance; a search's Rep reads the source's facts and
+// the target's relations from the two forms and seeds the candidate
+// domains, []uint64 bitsets.
 //
 // Propagation (generalized arc consistency) is incremental: the root
 // queues every source fact, an assignment queues only the assigned
@@ -21,6 +21,12 @@
 // Propagation and the backtracking search mutate one shared domain
 // array and unwind through a word-level trail instead of cloning it
 // per node, so a search node costs a few saved words.
+//
+// One check beyond GAC runs at the root of a search that branches:
+// Hall's condition on cliques of must-differ variables (hall.go), which
+// refutes pigeonholes such as K7 → K6, where every edge is arc
+// consistent, before the first branch. It only reads the root's
+// domains, so a search it does not refute keeps its tree.
 //
 // The searches check their context at every node, revision and join
 // step (a lock-free poll of its Done channel, then solve.Check), so
@@ -55,38 +61,40 @@ type relData struct {
 	// with rows[r*arity+p] == w.
 	idxOff  []uint32
 	idxRows []uint32
+	// differ has bit 8i+j (i < j) set when no row holds equal values at
+	// positions i and j, so a homomorphism sends the variables at those
+	// positions of a source fact to different values (see hall.go). It
+	// is kept for arities up to 8 and is zero above.
+	differ uint64
 }
 
 // row returns the values of row i.
 func (rd *relData) row(i int) []uint32 { return rd.rows[i*rd.arity : (i+1)*rd.arity] }
 
-// cfact is one source fact: its args as interned variable ids and a
-// pointer to the target relation's data (nil when the target has no
-// facts of that relation — the search is then trivially unsatisfiable).
+// cfact is one source fact: its args as interned variable ids.
 // firstPos[j] is the least j' with args[j'] == args[j]; positions with
 // firstPos[j] != j carry a repeated variable whose images must agree,
 // and the positions with firstPos[j] == j name the fact's distinct
 // variables. Both slices are windows into slabs shared by every fact.
+// The target relation a fact maps into is a property of the search,
+// not of the fact: see Rep.rel.
 type cfact struct {
-	rel      *relData
 	args     []uint32
 	firstPos []uint32
 }
 
 // Rep is the immutable compact form of one homomorphism search: the
-// source's and the target's compiled forms, the source facts pointed at
-// their target relations, and the seeded domains. The sequential
-// searcher, every parallel worker and the join tree share it. Build it
-// once per (source, target) pair, choose its Cut, then run Find or
-// FindAll; scratch cycles through the arena carried by the build
-// context.
+// source's and the target's compiled forms and the seeded domains. The
+// sequential searcher, every parallel worker and the join tree share
+// it. Build it once per (source, target) pair, choose its Cut, then run
+// Find or FindAll; scratch cycles through the arena carried by the
+// build context.
 type Rep struct {
 	nv    int // number of source variables
 	nt    int // number of target values
 	words int // bitset words per variable domain
 
 	src, dst *Form
-	facts    []cfact
 	// init is the seeded domain array (pinned variables as singletons,
 	// the full target domain otherwise); searches copy it, never mutate.
 	init []uint64
@@ -101,8 +109,8 @@ type Rep struct {
 // into a Rep: each distinguished element of the source that lies in
 // its domain is pinned to the target's element at the same position.
 // It reads the source's and the target's compiled forms, compiling an
-// instance on its first search (see Form), and only points the source
-// facts at their target relations and seeds the domains. Validation —
+// instance on its first search (see Form), and only seeds the domains:
+// two allocations, the Rep and its domains. Validation —
 // equal schemas, arities, a consistent tuple, pinned images in the
 // target's domain — is the caller's job (hom.newSearch does it); Build
 // never fails, it only produces representations whose search comes up
@@ -110,10 +118,7 @@ type Rep struct {
 func Build(ctx context.Context, from, to instance.Pointed) *Rep {
 	src, dst := compile(from.I), compile(to.I)
 	r := &Rep{nv: len(src.vals), nt: len(dst.vals), words: max(1, (len(dst.vals)+63)/64),
-		src: src, dst: dst, facts: slices.Clone(src.facts), tuple: from.Tuple, arena: arenaFrom(ctx)}
-	for i := range r.facts {
-		r.facts[i].rel = dst.byRel[src.factRel[i]]
-	}
+		src: src, dst: dst, tuple: from.Tuple, arena: arenaFrom(ctx)}
 
 	// Seed domains: the full target domain (the last word's tail
 	// masked), then a singleton for each pinned variable.
@@ -137,6 +142,10 @@ func Build(ctx context.Context, from, to instance.Pointed) *Rep {
 	}
 	return r
 }
+
+// rel returns the target relation source fact fi maps into, or nil
+// when the target has no fact of it (the search is then unsatisfiable).
+func (r *Rep) rel(fi int) *relData { return r.dst.byRel[r.src.factRel[fi]] }
 
 // NumVars returns the number of source variables: a solution's length.
 func (r *Rep) NumVars() int { return r.nv }
@@ -229,8 +238,8 @@ func (r *Rep) newSearcher(ctx context.Context, from []uint64, stop *stopFlag) *s
 	s.epoch = 1
 	// A searcher unwound mid-propagation (a cancellation) parks its
 	// scratch with facts still marked queued.
-	s.queue = resize(s.queue, len(r.facts))
-	s.queued = resize(s.queued, len(r.facts))
+	s.queue = resize(s.queue, len(r.src.facts))
+	s.queued = resize(s.queued, len(r.src.facts))
 	clear(s.queued)
 	s.head, s.queueN = 0, 0
 	s.sup = resize(s.sup, r.src.maxArity*r.words)
@@ -292,13 +301,7 @@ func (s *searcher) undo(m int) {
 }
 
 // count returns |dom(v)|.
-func (s *searcher) count(v int) int {
-	n := 0
-	for _, w := range s.domain(v) {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
+func (s *searcher) count(v int) int { return ones(s.domain(v)) }
 
 // has reports whether target id w is in dom(v).
 func (s *searcher) has(v int, w uint32) bool {
@@ -382,20 +385,17 @@ func (s *searcher) extract() []uint32 {
 // valid re-checks a full assignment against every source fact (belt and
 // braces — a GAC fixpoint over singleton domains already implies it).
 func (s *searcher) valid(sol []uint32) bool {
-	for fi := range s.r.facts {
-		f := &s.r.facts[fi]
-		if f.rel == nil {
-			return false
-		}
-		if !s.factHolds(f, sol) {
+	for fi := range s.r.src.facts {
+		rd := s.r.rel(fi)
+		if rd == nil || !s.factHolds(&s.r.src.facts[fi], rd, sol) {
 			return false
 		}
 	}
 	return true
 }
 
-func (s *searcher) factHolds(f *cfact, sol []uint32) bool {
-	rd := f.rel
+// factHolds reports whether fact f, mapped into rd, holds under sol.
+func (s *searcher) factHolds(f *cfact, rd *relData, sol []uint32) bool {
 	ar := rd.arity
 	if ar == 0 {
 		return rd.nrows > 0
@@ -460,7 +460,7 @@ func (s *searcher) pushFactsOf(v int, skip uint32) {
 
 // propagateAll enforces GAC on every fact: the root propagation.
 func (s *searcher) propagateAll() bool {
-	for fi := range s.r.facts {
+	for fi := range s.r.src.facts {
 		s.push(uint32(fi))
 	}
 	return s.propagate()
@@ -505,8 +505,7 @@ func (s *searcher) propagate() bool {
 // false when a domain empties.
 func (s *searcher) revise(fi uint32) bool {
 	r := s.r
-	f := &r.facts[fi]
-	rd := f.rel
+	f, rd := &r.src.facts[fi], r.rel(int(fi))
 	if rd == nil {
 		// Source relation with no target facts: unsatisfiable.
 		return false
@@ -524,7 +523,7 @@ func (s *searcher) revise(fi uint32) bool {
 	clear(sup)
 	if pivot < 0 {
 		for row := 0; row < rd.nrows; row++ {
-			s.support(f, row, sup)
+			s.support(f, rd, row, sup)
 		}
 	} else {
 		base := int(f.args[pivot]) * words
@@ -533,7 +532,7 @@ func (s *searcher) revise(fi uint32) bool {
 			for bw := s.dom[base+i]; bw != 0; bw &= bw - 1 {
 				b := pivot*r.nt + i*64 + bits.TrailingZeros64(bw)
 				for _, row := range rd.idxRows[rd.idxOff[b]:rd.idxOff[b+1]] {
-					s.support(f, int(row), sup)
+					s.support(f, rd, int(row), sup)
 				}
 			}
 		}
@@ -570,10 +569,9 @@ func (s *searcher) revise(fi uint32) bool {
 	return true
 }
 
-// support ORs row's values into sup, position by position, when the row
-// is consistent with fact f under the current domains.
-func (s *searcher) support(f *cfact, row int, sup []uint64) {
-	rd := f.rel
+// support ORs row's values into sup, position by position, when row of
+// rd is consistent with fact f under the current domains.
+func (s *searcher) support(f *cfact, rd *relData, row int, sup []uint64) {
 	ar, words := rd.arity, s.r.words
 	vals := rd.rows[row*ar : (row+1)*ar]
 	for k, w := range vals {
@@ -669,12 +667,13 @@ func (r *Rep) FindAll(ctx context.Context, c Cut, workers int, yield func([]uint
 // run is the one search. A cut without branch variables is one
 // join-tree pass over the seeded domains: the join tree itself when C
 // = ∅, a cutset leaf when C holds only pinned variables. Any other
-// search propagates the root, then branches on the cut's variables
-// when the product of their domain sizes is within leafBudget, and on
-// every variable, with the splitter at workers > 1, when it is not or
-// when c is the zero Cut. first selects the splitter's first-witness
-// race over its ordered enumeration. Yield runs on the calling
-// goroutine.
+// search propagates the root and checks Hall's condition there (see
+// hall.go), then branches on the cut's variables when the product of
+// their domain sizes is within leafBudget, and on every variable, with
+// the splitter at workers > 1, when it is not or when c is the zero
+// Cut. A search the Hall check refutes reports the path it would have
+// taken. first selects the splitter's first-witness race over its
+// ordered enumeration. Yield runs on the calling goroutine.
 func (r *Rep) run(ctx context.Context, c Cut, workers int, first bool, yield func([]uint32) bool) Path {
 	s := r.newSearcher(ctx, r.init, nil)
 	defer s.release()
@@ -693,18 +692,23 @@ func (r *Rep) run(ctx context.Context, c Cut, workers int, first bool, yield fun
 		}
 		return PathBacktrack
 	}
-	if c.forest != nil && s.leaves(c.branch) <= leafBudget {
+	refuted := s.hall()
+	cutset := c.forest != nil && s.leaves(c.branch) <= leafBudget
+	switch {
+	case refuted:
+		s.rec.Add(obs.CtrHallRefutations, 1)
+	case cutset:
 		s.cut = c
 		s.search(0, yield)
-		return PathCutset
-	}
-	switch {
 	case workers > 1 && first:
 		s.findParallel(workers, yield)
 	case workers > 1:
 		s.findAllParallel(workers, yield)
 	default:
 		s.search(0, yield)
+	}
+	if cutset {
+		return PathCutset
 	}
 	return PathBacktrack
 }

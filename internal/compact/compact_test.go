@@ -247,13 +247,13 @@ func (s *searcher) fullPassPropagate() bool {
 	changed := true
 	for changed {
 		changed = false
-		for fi := range s.r.facts {
-			f := &s.r.facts[fi]
-			if f.rel == nil {
+		for fi := range s.r.src.facts {
+			f, rd := &s.r.src.facts[fi], s.r.rel(fi)
+			if rd == nil {
 				return false
 			}
 			for j := range f.args {
-				removed, alive := s.narrow(f, j, int(f.args[j]))
+				removed, alive := s.narrow(f, rd, j, int(f.args[j]))
 				if removed > 0 {
 					changed = true
 				}
@@ -267,16 +267,16 @@ func (s *searcher) fullPassPropagate() bool {
 }
 
 // narrow removes from dom(v) every candidate unsupported at position j
-// of fact f. Returns the number of removed candidates and whether the
-// domain stayed non-empty.
-func (s *searcher) narrow(f *cfact, j, v int) (removed int, alive bool) {
+// of fact f, mapped into rd. Returns the number of removed candidates
+// and whether the domain stayed non-empty.
+func (s *searcher) narrow(f *cfact, rd *relData, j, v int) (removed int, alive bool) {
 	base := v * s.r.words
 	for i := 0; i < s.r.words; i++ {
 		w := s.dom[base+i]
 		kept := w
 		for bw := w; bw != 0; bw &= bw - 1 {
 			b := bits.TrailingZeros64(bw)
-			if !s.supported(f, j, uint32(i*64+b)) {
+			if !s.supported(f, rd, j, uint32(i*64+b)) {
 				kept &^= uint64(1) << b
 				removed++
 			}
@@ -289,11 +289,11 @@ func (s *searcher) narrow(f *cfact, j, v int) (removed int, alive bool) {
 	return removed, alive
 }
 
-// supported reports whether some target row of f's relation has cand at
-// position j, every other position's value inside the current domain of
-// its variable, and equal values wherever f repeats a variable.
-func (s *searcher) supported(f *cfact, j int, cand uint32) bool {
-	rd := f.rel
+// supported reports whether some row of rd, f's target relation, has
+// cand at position j, every other position's value inside the current
+// domain of its variable, and equal values wherever f repeats a
+// variable.
+func (s *searcher) supported(f *cfact, rd *relData, j int, cand uint32) bool {
 	ar := rd.arity
 	b := j*s.r.nt + int(cand)
 	for _, row := range rd.idxRows[rd.idxOff[b]:rd.idxOff[b+1]] {

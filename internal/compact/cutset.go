@@ -31,11 +31,14 @@ import (
 // at most that many passes plus the branch nodes above them. The
 // backtracker gets no such bound below an assignment of C, where it
 // may walk 2^n nodes (a parity cycle), but it also refutes many
-// searches in a few nodes, where GAC and MRV prune well (cliques):
-// 64 keeps the cutset search to sources whose cut is one or two
-// variables over small domains, or a handful over domains GAC left
-// binary, and leaves K7 → K6 (6^5 leaves) and K8 → K7 (7^6) on the
-// backtracker. It is a constant of the solver, not an option.
+// searches in a few nodes, where GAC and MRV prune well: 64 keeps the
+// cutset search to sources whose cut is one or two variables over
+// small domains, or a handful over domains GAC left binary, and leaves
+// M4 → K3 (a cut of four variables over three values, 3^4 leaves) to
+// the backtracker's 22 nodes. K7 → K6 (6^5 leaves) and K8 → K7 (7^6)
+// count on the backtracking path too, but the root's Hall check
+// refutes them before either search branches. It is a constant of the
+// solver, not an option.
 const leafBudget = 64
 
 // maxPeel is log2(leafBudget): peeling stops after that many unpinned

@@ -20,9 +20,10 @@ type Form struct {
 	vals []instance.Value
 
 	// The source half. facts holds the facts in Facts() order, as id
-	// args with their equality types (windows into two slabs), with rel
-	// nil: Build points each at its target's relation, whose index in
-	// the sorted schema is factRel. varOff/varFacts is the var→fact CSR:
+	// args with their equality types (windows into two slabs), and
+	// factRel each fact's relation index in the sorted schema, under
+	// which a search finds the target's rows (see Rep.rel); every search
+	// from the form shares both. varOff/varFacts is the var→fact CSR:
 	// the facts variable v occurs in, each once and in increasing order,
 	// are varFacts[varOff[v]:varOff[v+1]]. maxArity, the widest fact's,
 	// sizes a revision's support scratch.
@@ -133,6 +134,7 @@ func newForm(in *instance.Instance) *Form {
 			rd.idxOff[b]++
 		}
 		csrEnds(rd.idxOff)
+		rd.differ = differPairs(rd)
 	}
 	return f
 }

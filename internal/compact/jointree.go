@@ -54,15 +54,15 @@ func (s *searcher) join(yield func([]uint32) bool) bool {
 	defer sp.End()
 	r, sc := s.r, s.sc
 	j := &joiner{r: r, fo: s.cut.forest, ctx: s.ctx, done: s.done, rec: s.rec, dom: s.dom}
-	n := len(r.facts)
+	n := len(r.src.facts)
 	sc.joinInts = resize(sc.joinInts, 4*n+1+r.nv)
 	j.aliveOff, j.cur, j.lo = sc.joinInts[:n+1], sc.joinInts[n+1:2*n+1], sc.joinInts[2*n+1:3*n+1]
 	j.hi, j.sol = sc.joinInts[3*n+1:4*n+1], sc.joinInts[4*n+1:]
 	words := 0
-	for e, f := range r.facts {
+	for e := range r.src.facts {
 		j.aliveOff[e] = uint32(words)
-		if f.rel != nil {
-			words += (f.rel.nrows + 63) / 64
+		if rd := r.rel(e); rd != nil {
+			words += (rd.nrows + 63) / 64
 		}
 	}
 	j.aliveOff[n] = uint32(words)
@@ -88,15 +88,16 @@ func (j *joiner) aliveOf(e uint32) []uint64 {
 // some fact has no such row, so no homomorphism exists.
 func (j *joiner) seed() bool {
 	r, dom := j.r, j.dom
-	for e, f := range r.facts {
+	for e := range r.src.facts {
 		poll(j.ctx, j.done)
-		if f.rel == nil {
+		f, rd := &r.src.facts[e], r.rel(e)
+		if rd == nil {
 			return false
 		}
 		alive, seeded := j.aliveOf(uint32(e)), false
 	rows:
-		for row := 0; row < f.rel.nrows; row++ {
-			vals := f.rel.row(row)
+		for row := 0; row < rd.nrows; row++ {
+			vals := rd.row(row)
 			for k, w := range vals {
 				if vals[f.firstPos[k]] != w || dom[int(f.args[k])*r.words+int(w/64)]&(uint64(1)<<(w%64)) == 0 {
 					continue rows
@@ -142,7 +143,7 @@ func (j *joiner) semijoin(e uint32, up bool) bool {
 	if up {
 		keep, by, kpos, bpos = by, keep, bpos, kpos
 	}
-	rk, rb := r.facts[keep].rel, r.facts[by].rel
+	rk, rb := r.rel(int(keep)), r.rel(int(by))
 	alive, byAlive := j.aliveOf(keep), j.aliveOf(by)
 	removed, left := 0, false
 	for i := range alive {
@@ -217,9 +218,9 @@ func (j *joiner) descend(yield func([]uint32) bool) bool {
 		}
 		poll(j.ctx, j.done)
 		e := pre[i]
-		f := &r.facts[e]
+		f := &r.src.facts[e]
 		j.cur[e] = row
-		vals := f.rel.row(int(row))
+		vals := r.rel(int(e)).row(int(row))
 		for _, k := range j.fo.fresh[j.fo.freshOff[e]:j.fo.freshOff[e+1]] {
 			j.sol[f.args[k]] = vals[k]
 		}
@@ -241,7 +242,7 @@ func (j *joiner) link(i int) (e uint32, pvals, kpos, bpos []uint32) {
 	e = fo.pre[i]
 	if p := fo.parent[e]; p >= 0 {
 		sh, end := fo.sharedOff[e], fo.sharedOff[e+1]
-		pvals, kpos, bpos = j.r.facts[p].rel.row(int(j.cur[p])), fo.ppos[sh:end], fo.cpos[sh:end]
+		pvals, kpos, bpos = j.r.rel(int(p)).row(int(j.cur[p])), fo.ppos[sh:end], fo.cpos[sh:end]
 	}
 	return e, pvals, kpos, bpos
 }
@@ -251,7 +252,7 @@ func (j *joiner) link(i int) (e uint32, pvals, kpos, bpos []uint32) {
 // it shares with its parent.
 func (j *joiner) open(i int) {
 	e, pvals, kpos, bpos := j.link(i)
-	if rel := j.r.facts[e].rel; pvals == nil {
+	if rel := j.r.rel(int(e)); pvals == nil {
 		j.lo[i], j.hi[i] = 0, uint32(rel.nrows)
 	} else {
 		j.lo[i], j.hi[i] = j.r.bucket(pvals, rel, kpos, bpos)
@@ -263,7 +264,7 @@ func (j *joiner) open(i int) {
 func (j *joiner) next(i int) (uint32, bool) {
 	e, pvals, kpos, bpos := j.link(i)
 	if pvals != nil {
-		return j.r.match(pvals, j.r.facts[e].rel, j.aliveOf(e), kpos, bpos, &j.lo[i], j.hi[i])
+		return j.r.match(pvals, j.r.rel(int(e)), j.aliveOf(e), kpos, bpos, &j.lo[i], j.hi[i])
 	}
 	alive := j.aliveOf(e)
 	//cqlint:ignore ctxloop -- walks one relation's finite rows; lo advances every iteration

@@ -13,13 +13,16 @@ import (
 )
 
 // tracedHardJob is a deliberately hard traced job: the existence check
-// with K8 as its positive and K7 as its negative is one refuting hom
-// search, K8 → K7, of 3,620 nodes (pigeonhole: GAC prunes along the way
-// but cannot refute it early), in tens of milliseconds. The clique is
-// cyclic, so the search is the backtracker's.
+// with the Mycielski graph M5 as its positive and K4 as its negative is
+// one refuting hom search, M5 → K4, of 7,649 nodes, in tens of
+// milliseconds. M5 is triangle-free with chromatic number 5, so GAC
+// prunes along the way but refutes nothing early, and Hall's condition,
+// which refutes clique pigeonholes such as K8 → K7 at the root, finds no
+// clique to count. M5 is cyclic and its cut is past the leaf budget, so
+// the search is the backtracker's.
 func tracedHardJob(t *testing.T) Job {
 	t.Helper()
-	pos, neg := []instance.Pointed{genex.Clique(8)}, []instance.Pointed{genex.Clique(7)}
+	pos, neg := []instance.Pointed{genex.Mycielski(5)}, []instance.Pointed{genex.Clique(4)}
 	e := fitting.MustExamples(genex.SchemaR(), 0, pos, neg)
 	return Job{Kind: KindCQ, Task: TaskExists, Examples: e, Trace: true}
 }

@@ -1,13 +1,15 @@
 // Package genex generates the example families used throughout the
 // paper's proofs and our benchmark harness: cliques, directed paths and
-// cycles, transitive tournaments, prime-length cycles (Theorem 3.40), the
-// bit-string gadgets of Theorems 3.41/3.42, the L/R/A family of
-// Theorem 5.37 (Figure 5), and random instances for property tests.
+// cycles, transitive tournaments, Mycielski graphs, prime-length cycles
+// (Theorem 3.40), the bit-string gadgets of Theorems 3.41/3.42, the
+// L/R/A family of Theorem 5.37 (Figure 5), and random instances for
+// property tests.
 package genex
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"extremalcq/internal/instance"
 	"extremalcq/internal/schema"
@@ -77,6 +79,33 @@ func TransitiveTournament(n int) instance.Pointed {
 		for j := i + 1; j < n; j++ {
 			must(in.AddFact("R", val("t", i), val("t", j)))
 		}
+	}
+	return instance.NewPointed(in)
+}
+
+// Mycielski returns the Mycielski graph M_k (k ≥ 2) as a symmetric
+// irreflexive R: M_2 = K_2, and M_(k+1) adds to M_k a twin of each
+// vertex, adjacent to that vertex's neighbours, and one apex adjacent to
+// every twin. M_k is triangle-free with chromatic number k (M_4, the
+// Grötzsch graph, has 11 vertices and 40 facts; M_5 has 23 and 142), so
+// M_k ↛ K_(k−1) is a refutation no clique of pairwise distinct
+// variables shows: none has more than two members.
+func Mycielski(k int) instance.Pointed {
+	edges, n := [][2]int{{0, 1}}, 2
+	for ; k > 2; k-- {
+		next := slices.Clone(edges)
+		for _, e := range edges {
+			next = append(next, [2]int{n + e[0], e[1]}, [2]int{e[0], n + e[1]})
+		}
+		for u := 0; u < n; u++ {
+			next = append(next, [2]int{n + u, 2 * n})
+		}
+		edges, n = next, 2*n+1
+	}
+	in := instance.New(SchemaR())
+	for _, e := range edges {
+		must(in.AddFact("R", val("m", e[0]), val("m", e[1])))
+		must(in.AddFact("R", val("m", e[1]), val("m", e[0])))
 	}
 	return instance.NewPointed(in)
 }

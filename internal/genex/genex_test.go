@@ -208,3 +208,21 @@ func TestTableSize(t *testing.T) {
 		t.Errorf("candidates over 2 values use %d distinct facts, TableSize says %d", len(seen), want)
 	}
 }
+
+// TestMycielski checks the Mycielski graphs' sizes and the two facts
+// the hard-search pins rest on: M_k maps into K_k but not into
+// K_(k−1), and it holds no triangle.
+func TestMycielski(t *testing.T) {
+	for k, facts := range map[int]int{2: 2, 3: 10, 4: 40, 5: 142} {
+		m := Mycielski(k)
+		if m.Size() != facts {
+			t.Errorf("M%d has %d facts, want %d", k, m.Size(), facts)
+		}
+		if k <= 4 && (!hom.Exists(m, Clique(k)) || hom.Exists(m, Clique(k-1))) {
+			t.Errorf("M%d must map into K%d and not into K%d", k, k, k-1)
+		}
+		if hom.Exists(Clique(3), m) {
+			t.Errorf("M%d holds a triangle", k)
+		}
+	}
+}

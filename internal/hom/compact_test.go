@@ -8,6 +8,7 @@ import (
 
 	"extremalcq/internal/genex"
 	"extremalcq/internal/instance"
+	"extremalcq/internal/obs"
 )
 
 // naiveFindAll is the reference enumerator the compact core is checked
@@ -74,15 +75,15 @@ func naiveFindAll(from, to instance.Pointed, yield func(Assignment) bool) {
 // workers, against naiveFindAll on one (from, to) pair: same exists
 // verdict, valid witnesses, and identical enumerated answer sets.
 // Dispatch is forced to backtrack so the join-tree fast path cannot
-// mask the core.
-func compactNaiveAgree(t *testing.T, from, to instance.Pointed) {
+// mask the core. The searches' counters go to rec.
+func compactNaiveAgree(t *testing.T, rec *obs.Recorder, from, to instance.Pointed) {
 	t.Helper()
 	want := make(map[string]bool)
 	naiveFindAll(from, to, func(a Assignment) bool {
 		want[canonAssignment(a)] = true
 		return true
 	})
-	base := WithDispatchMode(context.Background(), DispatchBacktrack)
+	base := obs.WithRecorder(WithDispatchMode(context.Background(), DispatchBacktrack), rec)
 	for _, workers := range []int{1, 4} {
 		ctx := WithSearchWorkers(base, workers)
 		h, ok := FindCtx(ctx, from, to)
@@ -107,29 +108,39 @@ func compactNaiveAgree(t *testing.T, from, to instance.Pointed) {
 // TestCompactNaiveAgree is the conformance differential for the
 // compact core: randomized instances plus the structured families
 // where the representation is stressed hardest (parity gadgets that
-// defeat GAC, cycles into cycles, cliques). Run under -race in CI so
-// the parallel driver's sharing is exercised, not just its answers.
+// defeat GAC, cycles into cycles, cliques), and the Hall corpus
+// (hall_test.go), whose must-differ cliques the root check refutes or
+// must leave alone. Run under -race in CI so the parallel driver's
+// sharing is exercised, not just its answers.
 func TestCompactNaiveAgree(t *testing.T) {
+	rec := obs.NewRecorder()
+	check := func(from, to instance.Pointed) { compactNaiveAgree(t, rec, from, to) }
 	rng := rand.New(rand.NewSource(10))
 	sch := genex.SchemaR()
 	for i := 0; i < 80; i++ {
 		from := genex.RandomPointed(rng, sch, 4, 2+rng.Intn(5), rng.Intn(2))
 		to := genex.RandomPointed(rng, sch, 3, 2+rng.Intn(7), from.Arity())
-		compactNaiveAgree(t, from, to)
+		check(from, to)
 	}
 
 	parity := genex.ParityTarget()
 	for n := 1; n <= 5; n++ {
-		compactNaiveAgree(t, genex.ParityChain(n), parity)
+		check(genex.ParityChain(n), parity)
 	}
 	for n := 3; n <= 6; n++ {
-		compactNaiveAgree(t, genex.ParityCycle(n), parity)
+		check(genex.ParityCycle(n), parity)
 	}
 	for _, n := range []int{3, 4, 6, 12} {
 		for _, m := range []int{2, 3, 4} {
-			compactNaiveAgree(t, genex.DirectedCycle(n), genex.DirectedCycle(m))
+			check(genex.DirectedCycle(n), genex.DirectedCycle(m))
 		}
 	}
-	compactNaiveAgree(t, genex.Clique(3), genex.Clique(4))
-	compactNaiveAgree(t, genex.Clique(3), genex.Clique(2))
+	check(genex.Clique(3), genex.Clique(4))
+	check(genex.Clique(3), genex.Clique(2))
+	for _, c := range hallCorpus() {
+		before := rec.Count(obs.CtrHallRefutations)
+		check(c.from, c.to)
+		c.check(t, rec.Count(obs.CtrHallRefutations)-before)
+	}
+	t.Logf("the Hall check refuted %d searches", rec.Count(obs.CtrHallRefutations))
 }

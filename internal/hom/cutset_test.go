@@ -17,15 +17,15 @@ import (
 // and at two workers, against naiveFindAll on one (from, to) pair: the
 // same exists verdict from ExistsCtx and FindCtx, a valid witness, and
 // FindAll yielding each of the enumerator's answers exactly once. The
-// paths the searches took are counted in stats.
-func cutsetNaiveAgree(t *testing.T, stats *DispatchStats, name string, from, to instance.Pointed) {
+// paths the searches took are counted in stats, their counters in rec.
+func cutsetNaiveAgree(t *testing.T, stats *DispatchStats, rec *obs.Recorder, name string, from, to instance.Pointed) {
 	t.Helper()
 	want := make(map[string]bool)
 	naiveFindAll(from, to, func(a Assignment) bool {
 		want[canonAssignment(a)] = true
 		return true
 	})
-	base := WithDispatchStats(context.Background(), stats)
+	base := obs.WithRecorder(WithDispatchStats(context.Background(), stats), rec)
 	for _, workers := range []int{1, 2} {
 		ctx := WithSearchWorkers(base, workers)
 		if ok := ExistsCtx(ctx, from, to); ok != (len(want) > 0) {
@@ -60,12 +60,14 @@ func cutsetNaiveAgree(t *testing.T, stats *DispatchStats, name string, from, to 
 // each leaf on the join tree: random cyclic sources with pinned tuples
 // of arity 0 to 2 (half the targets hold a planted image of the
 // source), directed cycles with and without a distinguished vertex,
-// parity cycles, and cliques. It must see all three paths: the join
-// tree (C2 and K2 are acyclic), the cutset search, and the backtracker
-// (K6 → K5, whose cut would have 5^4 leaves). Run under -race in CI so
-// the parallel backtracker's sharing is exercised too.
+// parity cycles, cliques, and the Hall corpus (hall_test.go). It must
+// see all three paths: the join tree (C2 and K2 are acyclic), the
+// cutset search, and the backtracker (K6 → K5, whose cut would have
+// 5^4 leaves). Run under -race in CI so the parallel backtracker's
+// sharing is exercised too.
 func TestCutsetNaiveAgree(t *testing.T) {
 	var stats DispatchStats
+	rec := obs.NewRecorder()
 	sch := schema.MustNew(
 		schema.Relation{Name: "R", Arity: 2},
 		schema.Relation{Name: "P", Arity: 1},
@@ -93,32 +95,37 @@ func TestCutsetNaiveAgree(t *testing.T) {
 				to.Tuple[i] = img[a]
 			}
 		}
-		cutsetNaiveAgree(t, &stats, fmt.Sprintf("random #%d", kept), from, to)
+		cutsetNaiveAgree(t, &stats, rec, fmt.Sprintf("random #%d", kept), from, to)
 		kept++
 	}
 
 	parity := genex.ParityTarget()
 	for n := 3; n <= 12; n++ {
-		cutsetNaiveAgree(t, &stats, fmt.Sprintf("ParityCycle(%d)", n), genex.ParityCycle(n), parity)
+		cutsetNaiveAgree(t, &stats, rec, fmt.Sprintf("ParityCycle(%d)", n), genex.ParityCycle(n), parity)
 	}
 	for _, n := range []int{2, 3, 4, 6, 12} {
 		for _, m := range []int{2, 3, 4} {
 			from, to := genex.DirectedCycle(n), genex.DirectedCycle(m)
-			cutsetNaiveAgree(t, &stats, fmt.Sprintf("C%d->C%d", n, m), from, to)
+			cutsetNaiveAgree(t, &stats, rec, fmt.Sprintf("C%d->C%d", n, m), from, to)
 			// A distinguished vertex on the cycle: the source is cyclic,
 			// but acyclic once its pinned variable is conditioned away.
 			dom := to.I.Dom()
 			pointed := instance.NewPointed(from.I, from.I.Dom()[0])
-			cutsetNaiveAgree(t, &stats, fmt.Sprintf("C%d->C%d pointed", n, m), pointed, instance.NewPointed(to.I, dom[len(dom)-1]))
+			cutsetNaiveAgree(t, &stats, rec, fmt.Sprintf("C%d->C%d pointed", n, m), pointed, instance.NewPointed(to.I, dom[len(dom)-1]))
 		}
 	}
 	for n := 2; n <= 6; n++ {
 		for m := 2; m <= 5; m++ {
-			cutsetNaiveAgree(t, &stats, fmt.Sprintf("K%d->K%d", n, m), genex.Clique(n), genex.Clique(m))
+			cutsetNaiveAgree(t, &stats, rec, fmt.Sprintf("K%d->K%d", n, m), genex.Clique(n), genex.Clique(m))
 		}
 	}
+	for _, c := range hallCorpus() {
+		before := rec.Count(obs.CtrHallRefutations)
+		cutsetNaiveAgree(t, &stats, rec, c.name, c.from, c.to)
+		c.check(t, rec.Count(obs.CtrHallRefutations)-before)
+	}
 	jt, cs, bt := stats.Snapshot()
-	t.Logf("paths: %d join tree, %d cutset, %d backtrack", jt, cs, bt)
+	t.Logf("paths: %d join tree, %d cutset, %d backtrack; %d Hall refutations", jt, cs, bt, rec.Count(obs.CtrHallRefutations))
 	if jt == 0 || cs == 0 || bt == 0 {
 		t.Fatalf("the corpus must take every path: %d join tree, %d cutset, %d backtrack", jt, cs, bt)
 	}
@@ -129,12 +136,15 @@ func TestCutsetNaiveAgree(t *testing.T) {
 // parity cycle is cut at {x1, y1}: three branch nodes (x1's two values,
 // y1 following by propagation) and two join-tree leaves refute it at
 // every length, where the backtracker walks 2^(n-7)−1 nodes. K7 → K6
-// and K8 → K7 would need 6^5 and 7^6 leaves, so they stay on the
-// backtracker with the trees TestSearchTreePinned pins.
+// and K8 → K7 would need 6^5 and 7^6 leaves, so they count on the
+// backtracking path, but Hall's condition refutes them at the root in
+// no node (517 and 3,620 before the check). M4 → K3 and M5 → K4, which
+// the check cannot see, keep the backtracker's trees.
 func TestCutsetSearchPinned(t *testing.T) {
 	type shape struct {
 		path          obs.Counter
 		nodes, leaves int64
+		hall          int64
 	}
 	parity := genex.ParityTarget()
 	type tc struct {
@@ -144,11 +154,13 @@ func TestCutsetSearchPinned(t *testing.T) {
 	}
 	var cases []tc
 	for n := 12; n <= 20; n++ {
-		cases = append(cases, tc{fmt.Sprintf("ParityCycle(%d)", n), genex.ParityCycle(n), parity, shape{obs.CtrDispatchCutset, 3, 2}})
+		cases = append(cases, tc{fmt.Sprintf("ParityCycle(%d)", n), genex.ParityCycle(n), parity, shape{obs.CtrDispatchCutset, 3, 2, 0}})
 	}
 	cases = append(cases,
-		tc{"K7->K6", genex.Clique(7), genex.Clique(6), shape{obs.CtrDispatchBacktrack, 517, 0}},
-		tc{"K8->K7", genex.Clique(8), genex.Clique(7), shape{obs.CtrDispatchBacktrack, 3620, 0}},
+		tc{"K7->K6", genex.Clique(7), genex.Clique(6), shape{obs.CtrDispatchBacktrack, 0, 0, 1}},
+		tc{"K8->K7", genex.Clique(8), genex.Clique(7), shape{obs.CtrDispatchBacktrack, 0, 0, 1}},
+		tc{"M4->K3", genex.Mycielski(4), genex.Clique(3), shape{obs.CtrDispatchBacktrack, 22, 0, 0}},
+		tc{"M5->K4", genex.Mycielski(5), genex.Clique(4), shape{obs.CtrDispatchBacktrack, 7649, 0, 0}},
 	)
 	for _, c := range cases {
 		for _, workers := range []int{1, 2} {
@@ -157,21 +169,23 @@ func TestCutsetSearchPinned(t *testing.T) {
 			if ExistsCtx(ctx, c.from, c.to) {
 				t.Fatalf("%s must be unsatisfiable", c.name)
 			}
-			if rec.Count(c.want.path) != 1 {
-				t.Errorf("%s, %d workers: did not take the %s path", c.name, workers, c.want.path)
+			if rec.Count(c.want.path) != 1 || rec.Count(obs.CtrHomSearches) != 1 {
+				t.Errorf("%s, %d workers: did not take the %s path in one search", c.name, workers, c.want.path)
 			}
-			nodes, leaves := rec.Count(obs.CtrHomNodes), rec.Count(obs.CtrCutsetLeaves)
-			if nodes != c.want.nodes || leaves != c.want.leaves {
-				t.Errorf("%s, %d workers: %d nodes, %d leaves; pinned %d, %d", c.name, workers, nodes, leaves, c.want.nodes, c.want.leaves)
+			nodes, leaves, hall := rec.Count(obs.CtrHomNodes), rec.Count(obs.CtrCutsetLeaves), rec.Count(obs.CtrHallRefutations)
+			if nodes != c.want.nodes || leaves != c.want.leaves || hall != c.want.hall {
+				t.Errorf("%s, %d workers: %d nodes, %d leaves, %d Hall refutations; pinned %d, %d, %d",
+					c.name, workers, nodes, leaves, hall, c.want.nodes, c.want.leaves, c.want.hall)
 			}
 		}
 	}
 }
 
 // TestExistsAllocs pins an exists check on a warm arena at compact.
-// Build's three allocations (the Rep, its facts and its seeded
-// domains) on every path: it checks the tuple without maps, keeps no
-// witness, and takes all search state from the arena.
+// Build's two allocations (the Rep and its seeded domains) on every
+// path: it checks the tuple without maps, keeps no witness, and takes
+// all search state from the arena, the Hall check's must-differ
+// graph included (K6 → K5 is refuted by it).
 func TestExistsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a share of its items, so arena reuse is not measurable")
@@ -196,8 +210,8 @@ func TestExistsAllocs(t *testing.T) {
 		if after[c.path] == before[c.path] {
 			t.Errorf("%s did not take path %d: dispatch stats %v -> %v", c.name, c.path, before, after)
 		}
-		if n > 3 {
-			t.Errorf("ExistsCtx(%s) allocates %.0f times on a warm arena, want at most Build's 3", c.name, n)
+		if n > 2 {
+			t.Errorf("ExistsCtx(%s) allocates %.0f times on a warm arena, want at most Build's 2", c.name, n)
 		}
 	}
 }

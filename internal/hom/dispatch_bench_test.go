@@ -15,11 +15,13 @@ import (
 // defeat GAC pruning, see genex) the join tree stays flat while the
 // backtracker grows ~2^n; on the cyclic parity cycles the cutset
 // search branches on {x1, y1} and finishes two join-tree leaves, flat
-// too, while the backtracker walks 2^(n-7)−1 nodes; on the cyclic
-// K7 → K6 search, whose cut is past the leaf budget, the auto path pays
+// too, while the backtracker walks 2^(n-7)−1 nodes. On the cyclic
+// M5 → K4 search, whose cut is past the leaf budget, the auto path pays
 // the structure probe, memoized on the source's compiled form, on top
-// of the same backtracking search. nodes/op, the branch nodes per check
-// (0 on the join tree), and leaves/op, the cutset search's join-tree
+// of the same backtracking search; K7 → K6, whose cut is past the
+// budget too, is refuted at the root by Hall's condition on both paths.
+// nodes/op, the branch nodes per check (0 on the join tree and for a
+// root refutation), and leaves/op, the cutset search's join-tree
 // leaves, are exact on any host; the times are wall clock.
 func BenchmarkDispatch(b *testing.B) {
 	forced := WithDispatchMode(context.Background(), DispatchBacktrack)
@@ -49,4 +51,5 @@ func BenchmarkDispatch(b *testing.B) {
 		run(fmt.Sprintf("cycle=%d", n), genex.ParityCycle(n), parity)
 	}
 	run("K7->K6", genex.Clique(7), genex.Clique(6))
+	run("M5->K4", genex.Mycielski(5), genex.Clique(4))
 }

@@ -37,7 +37,10 @@ func treeShape(from, to instance.Pointed, workers int) (exists bool, nodes, back
 // structured families. Satisfiable searches run at one worker, where the
 // tree is the DFS up to the first witness; unsatisfiable ones also run
 // at two, where the splitter's prefix jobs cover the whole tree, so the
-// counts are exact there too.
+// counts are exact there too. K7 → K6 is refuted at the root by Hall's
+// condition, before the first node; the Mycielski graphs are
+// triangle-free, so the check cannot see M4 → K3 and M5 → K4, and they
+// keep the trees the backtracker walked before it.
 func TestSearchTreePinned(t *testing.T) {
 	type shape struct {
 		workers           int
@@ -57,7 +60,9 @@ func TestSearchTreePinned(t *testing.T) {
 		{"ParityCycle(16)", genex.ParityCycle(16), parity, false, []shape{{1, 511, 511}, {2, 511, 504}}},
 		{"ParityCycle(17)", genex.ParityCycle(17), parity, false, []shape{{1, 1023, 1023}, {2, 1023, 1016}}},
 		{"ParityCycle(18)", genex.ParityCycle(18), parity, false, []shape{{1, 2047, 2047}, {2, 2047, 2040}}},
-		{"K7->K6", genex.Clique(7), genex.Clique(6), false, []shape{{1, 517, 517}, {2, 517, 515}}},
+		{"K7->K6", genex.Clique(7), genex.Clique(6), false, []shape{{1, 0, 0}, {2, 0, 0}}},
+		{"M4->K3", genex.Mycielski(4), genex.Clique(3), false, []shape{{1, 22, 22}, {2, 22, 24}}},
+		{"M5->K4", genex.Mycielski(5), genex.Clique(4), false, []shape{{1, 7649, 7649}, {2, 7649, 7646}}},
 		{"C7->C3", genex.DirectedCycle(7), genex.DirectedCycle(3), false, []shape{{1, 1, 1}, {2, 1, 3}}},
 		{"C10->C4", genex.DirectedCycle(10), genex.DirectedCycle(4), false, []shape{{1, 1, 1}, {2, 1, 4}}},
 		{"C12->C3", genex.DirectedCycle(12), genex.DirectedCycle(3), true, []shape{{1, 2, 0}}},

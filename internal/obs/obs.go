@@ -138,6 +138,10 @@ const (
 	// CtrCutsetLeaves counts the join-tree passes cutset searches ran,
 	// one per assignment of the cut that survived propagation.
 	CtrCutsetLeaves
+	// CtrHallRefutations counts the searches refuted at the root by
+	// Hall's condition on a clique of must-differ variables, before any
+	// branch.
+	CtrHallRefutations
 
 	numCounters
 )
@@ -166,6 +170,7 @@ var counterNames = [numCounters]string{
 	CtrJoinTreeNodes:      "jointree_nodes",
 	CtrSemijoinReductions: "semijoin_reductions",
 	CtrCutsetLeaves:       "cutset_leaves",
+	CtrHallRefutations:    "hall_refutations",
 }
 
 // String returns the stable snake_case name used in reports.
