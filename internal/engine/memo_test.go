@@ -192,9 +192,12 @@ func TestMemoCostNotAnswers(t *testing.T) {
 		t.Errorf("restarted engines faulted in %+v; every class must be served from the store", faulted)
 	}
 	// The witness-keeping memo that verdicts replaced counted exactly
-	// these on this sequence; keys or entries that lost a hit would
-	// show here first.
-	want := CacheStats{HomHits: 154, HomMisses: 12724, CoreHits: 29, CoreMisses: 689, ProductHits: 24, ProductMisses: 25}
+	// these core and product lookups on this sequence; keys or entries
+	// that lost a hit would show here first. The hom counts are those
+	// left once the compiled universe's order settles most of the
+	// enumerations' checks without a lookup (154 hits and 12,724
+	// misses before it).
+	want := CacheStats{HomHits: 10, HomMisses: 1350, CoreHits: 29, CoreMisses: 689, ProductHits: 24, ProductMisses: 25}
 	got := memo.Stats().Cache
 	got.Entries, got.Shards = 0, 0
 	if got != want {

@@ -15,6 +15,7 @@ import (
 	"extremalcq/internal/hom"
 	"extremalcq/internal/instance"
 	"extremalcq/internal/schema"
+	"extremalcq/internal/universe"
 )
 
 // Examples is a collection of labeled examples E = (E+, E-). All
@@ -79,16 +80,23 @@ func Verify(q *cq.CQ, e Examples) bool {
 // are memoized through the caches carried by ctx (see hom.WithCache)
 // and stop promptly when ctx is canceled.
 func VerifyCtx(ctx context.Context, q *cq.CQ, e Examples) bool {
+	return verify(ctx, nil, 0, q, e)
+}
+
+// verify is VerifyCtx with each check decided through known, q being
+// node in the order known is bound to. Example i of known is e.Pos[i]
+// for i < len(e.Pos), and e.Neg[i-len(e.Pos)] after.
+func verify(ctx context.Context, known *universe.Verdicts, node int, q *cq.CQ, e Examples) bool {
 	if !e.compatible(q) {
 		return false
 	}
-	for _, p := range e.Pos {
-		if !q.HomToCtx(ctx, p) {
+	for i, p := range e.Pos {
+		if !known.Decide(ctx, node, i, q.Example(), p) {
 			return false
 		}
 	}
-	for _, n := range e.Neg {
-		if q.HomToCtx(ctx, n) {
+	for i, n := range e.Neg {
+		if known.Decide(ctx, node, len(e.Pos)+i, q.Example(), n) {
 			return false
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"extremalcq/internal/frontier"
 	"extremalcq/internal/hom"
 	"extremalcq/internal/instance"
+	"extremalcq/internal/universe"
 )
 
 // ErrUnsupported marks inputs outside the implemented exact fragment
@@ -57,15 +58,23 @@ func verifyWeaklyMostGeneral(ctx context.Context, core instance.Pointed, e Examp
 	if err != nil {
 		return false, err
 	}
-	return frontierIntoNegatives(ctx, members, e), nil
+	return frontierIntoNegatives(ctx, nil, 0, members, e), nil
 }
 
 // frontierIntoNegatives is the example-dependent half of the Prop 3.11
 // test: given the frontier of a fitting q's c-acyclic core, q is weakly
-// most-general iff every member maps into some negative example.
-func frontierIntoNegatives(ctx context.Context, members []instance.Pointed, e Examples) bool {
-	for _, m := range members {
-		if !hom.ExistsToAnyCtx(ctx, m, e.Neg) {
+// most-general iff every member maps into some negative example. Each
+// check is decided through known (see verify), the members being the
+// nodes from first on.
+func frontierIntoNegatives(ctx context.Context, known *universe.Verdicts, first int, members []instance.Pointed, e Examples) bool {
+	for i, m := range members {
+		into := false
+		for j, n := range e.Neg {
+			if into = known.Decide(ctx, first+i, len(e.Pos)+j, m, n); into {
+				break
+			}
+		}
+		if !into {
 			return false
 		}
 	}

@@ -123,12 +123,13 @@ func forEachWMG(ctx context.Context, e Examples, opts SearchOpts, yield func(*cq
 			}
 		}
 	}
-	fits := func(q *cq.CQ) bool {
+	known := universe.NewVerdicts(len(e.Pos) + len(e.Neg))
+	fits := func(c *universe.Entry) bool {
 		rec.Add(obs.CtrEnumCandidates, 1)
-		return VerifyCtx(ctx, q, e)
+		return verify(ctx, known, c.Node(), c.Query, e)
 	}
-	universe.ForEach(ctx, e.Schema, e.Arity, opts.MaxAtoms, opts.MaxVars, fits, func(c *universe.Entry) bool {
-		return !frontierIntoNegatives(ctx, c.Frontier, e) || yield(c.Query)
+	universe.ForEach(ctx, e.Schema, e.Arity, opts.MaxAtoms, opts.MaxVars, known, fits, func(c *universe.Entry) bool {
+		return !frontierIntoNegatives(ctx, known, c.Node()+1, c.Frontier, e) || yield(c.Query)
 	})
 	return firstErr
 }

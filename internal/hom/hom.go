@@ -30,8 +30,7 @@ func Exists(from, to instance.Pointed) bool {
 func ExistsCtx(ctx context.Context, from, to instance.Pointed) bool {
 	c := cacheFrom(ctx)
 	if c == nil {
-		_, ok := find(ctx, from, to, false)
-		return ok
+		return SearchCtx(ctx, from, to)
 	}
 	k := instance.DigestPair(from, to)
 	if exists, ok := c.GetHom(ctx, k); ok {
@@ -40,6 +39,15 @@ func ExistsCtx(ctx context.Context, from, to instance.Pointed) bool {
 	_, exists := find(ctx, from, to, false)
 	c.PutHom(ctx, k, exists)
 	return exists
+}
+
+// SearchCtx is ExistsCtx without the memo: it always searches and
+// stores no verdict. It is for bulk one-off checks, such as the order
+// of a compiled candidate universe, whose verdicts would only flush
+// the memo's hom class (and, under memo spill, fill the store).
+func SearchCtx(ctx context.Context, from, to instance.Pointed) bool {
+	_, ok := find(ctx, from, to, false)
+	return ok
 }
 
 // Find returns a homomorphism from 'from' to 'to' if one exists. The

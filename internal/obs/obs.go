@@ -142,6 +142,10 @@ const (
 	// Hall's condition on a clique of must-differ variables, before any
 	// branch.
 	CtrHallRefutations
+	// CtrHomInferred counts the hom verdicts a compiled candidate
+	// universe's order settled by composition, with no memo lookup and
+	// no search.
+	CtrHomInferred
 
 	numCounters
 )
@@ -171,6 +175,7 @@ var counterNames = [numCounters]string{
 	CtrSemijoinReductions: "semijoin_reductions",
 	CtrCutsetLeaves:       "cutset_leaves",
 	CtrHallRefutations:    "hall_refutations",
+	CtrHomInferred:        "hom_inferred",
 }
 
 // String returns the stable snake_case name used in reports.

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"extremalcq/internal/cq"
+	"extremalcq/internal/instance"
 	"extremalcq/internal/schema"
 )
 
@@ -12,15 +13,83 @@ import (
 // enumerating thousands of candidates.
 func NewCacheCapped(maxFacts int) *Cache { return newCache(maxFacts) }
 
+func keyOf(sch *schema.Schema, k, maxAtoms, maxVars int) key {
+	return key{schema: sch.String(), arity: k, maxAtoms: maxAtoms, maxVars: maxVars}
+}
+
 // Compiled reports what c holds for a key: the entries compiled, the
 // enumerated candidates they cover, and whether the universe is
 // complete or marked too big.
 func Compiled(c *Cache, sch *schema.Schema, k, maxAtoms, maxVars int) (entries, walked int, complete, tooBig bool) {
-	u, ok := c.get(key{schema: sch.String(), arity: k, maxAtoms: maxAtoms, maxVars: maxVars})
+	u, ok := c.get(keyOf(sch, k, maxAtoms, maxVars))
 	if !ok {
 		return 0, 0, false, false
 	}
 	return len(u.entries), u.walked, u.complete, u.tooBig
+}
+
+// Nodes returns the instances of the nodes of the universe c holds for
+// a key, indexed by node, and whether that universe has its order.
+func Nodes(c *Cache, sch *schema.Schema, k, maxAtoms, maxVars int) (nodes []instance.Pointed, ordered bool) {
+	u, _ := c.get(keyOf(sch, k, maxAtoms, maxVars))
+	if u == nil {
+		return nil, false
+	}
+	for _, e := range u.entries {
+		if e.node != len(nodes) {
+			panic("entry node ids are not consecutive")
+		}
+		nodes = append(nodes, e.Query.Example())
+		nodes = append(nodes, e.Frontier...)
+	}
+	return nodes, u.order != nil
+}
+
+// Relation returns the order of the universe c holds for a key as its
+// two matrices: up[i][j] when node i maps to node j, down[i][j] when
+// node j maps to node i. Both are nil when there is no order.
+func Relation(c *Cache, sch *schema.Schema, k, maxAtoms, maxVars int) (up, down [][]bool) {
+	u, _ := c.get(keyOf(sch, k, maxAtoms, maxVars))
+	if u == nil || u.order == nil {
+		return nil, nil
+	}
+	o := u.order
+	for i := range u.nodes {
+		up, down = append(up, make([]bool, u.nodes)), append(down, make([]bool, u.nodes))
+		for j := range u.nodes {
+			up[i][j], down[i][j] = has(o.row(o.up, i), j), has(o.row(o.down, i), j)
+		}
+	}
+	return up, down
+}
+
+// Rebuild builds the order of the complete universe c holds for a key
+// again under ctx, and discards it.
+func Rebuild(ctx context.Context, c *Cache, sch *schema.Schema, k, maxAtoms, maxVars int) {
+	u, _ := c.get(keyOf(sch, k, maxAtoms, maxVars))
+	buildOrder(ctx, u.entries)
+}
+
+// MaxOrderNodes is the node cap of the order's build.
+const MaxOrderNodes = maxOrderNodes
+
+// OrdersCopies reports whether the order of a universe of n entries,
+// each q with no frontier, gets built under ctx.
+func OrdersCopies(ctx context.Context, q *cq.CQ, n int) bool {
+	entries := make([]*Entry, n)
+	for i := range entries {
+		entries[i] = &Entry{Query: q}
+	}
+	return buildOrder(ctx, entries) != nil
+}
+
+// Bound returns verdicts about the given number of examples, bound to
+// the order of the universe c holds for a key.
+func Bound(ctx context.Context, c *Cache, sch *schema.Schema, k, maxAtoms, maxVars, examples int) *Verdicts {
+	u, _ := c.get(keyOf(sch, k, maxAtoms, maxVars))
+	v := NewVerdicts(examples)
+	v.bind(ctx, u.order)
+	return v
 }
 
 // MaxRetained walks a key like ForEach under c (nil for no cache),
@@ -28,11 +97,11 @@ func Compiled(c *Cache, sch *schema.Schema, k, maxAtoms, maxVars int) (entries, 
 // at any yield: those of its entries and of its isomorphism classes,
 // counted from the instances themselves.
 func MaxRetained(ctx context.Context, c *Cache, sch *schema.Schema, k, maxAtoms, maxVars int) (most, yields int) {
-	w := walk{c: c, k: key{schema: sch.String(), arity: k, maxAtoms: maxAtoms, maxVars: maxVars}}
+	w := walk{c: c, k: keyOf(sch, k, maxAtoms, maxVars)}
 	if c != nil {
 		w.resume(&universe{})
 	}
-	all := func(*cq.CQ) bool { return true }
+	all := func(*Entry) bool { return true }
 	w.run(ctx, sch, k, maxAtoms, maxVars, all, func(*Entry) bool {
 		held := map[*Entry]bool{}
 		for _, e := range w.u.entries {

@@ -20,6 +20,18 @@
 // The search dedups its answers up to equivalence anyway, so walking
 // the representatives yields the same answers, in the same order, as
 // walking every candidate.
+//
+// A complete universe also carries the homomorphism preorder over its
+// nodes: each entry's query followed by its frontier members (see
+// order.go). Fit and the frontier test ask only whether a node maps
+// into an example, and homomorphisms compose: if a node maps into an
+// example, so does every node that maps to it, and if it does not,
+// neither does any node it maps to. So a job asks its questions
+// through Verdicts, which search only for what the job's earlier
+// answers about the same example do not settle. The order is built
+// once per universe, by the walk that makes the universe complete or
+// first finds it complete without one; a build that would cost far
+// more than the compile gives up, and the universe stays without one.
 package universe
 
 import (
@@ -39,12 +51,15 @@ import (
 // MaxFacts caps the facts a cached universe retains, counting each
 // entry's query and frontier members; retained memory is about 1.1 KB
 // per fact once the lookup indexes are built, so a universe holds at
-// most ~9 MB. A walk that passes the cap drops what it has compiled
-// and marks its key as too big: the rest of that walk, and every later
-// walk of the key, runs live and retains nothing. The default bounds
-// over small schemas stay well below it: R/2, P/1, Q/1 at arity 1 with
-// 3 atoms and 4 variables is 659 candidates, 134 entries and 1,515
-// facts.
+// most ~9 MB. Its order adds 2·n²/8 bytes over its n nodes, at most
+// 4 MB (see maxOrderNodes): 0.5 MB for the 1,398 nodes of R/2, P/1,
+// Q/1 at arity 2 with 3 atoms and 4 variables (7,524 facts), whose
+// build takes about as long as its compile. A walk that passes the cap
+// drops what it has compiled and marks its key as too big: the rest of
+// that walk, and every later walk of the key, runs live and retains
+// nothing. The default bounds over small schemas stay well below it:
+// R/2, P/1, Q/1 at arity 1 with 3 atoms and 4 variables is 659
+// candidates, 134 entries, 385 nodes and 1,515 facts.
 const MaxFacts = 8192
 
 // MaxUniverses caps the universes one cache holds, so a cache retains
@@ -62,8 +77,15 @@ type Entry struct {
 	// Frontier is the frontier of Query's canonical example (Def 3.21).
 	Frontier []instance.Pointed
 
-	iso string // Query's IsoFingerprint, on compiled entries
+	iso  string // Query's IsoFingerprint, on compiled entries
+	node int    // Query's node in its universe's order, on compiled entries
 }
+
+// Node is the node of the entry's query in the order of its universe
+// (see Verdicts); its frontier members are the nodes that follow, in
+// order. Entries of a live walk have no node, and are never decided
+// through an order.
+func (e *Entry) Node() int { return e.node }
 
 // key identifies a universe: the enumeration's schema, arity and bounds.
 type key struct {
@@ -74,15 +96,22 @@ type key struct {
 
 // universe is what the walks of one key have compiled: the entries of
 // the first walked candidates of the enumeration, in order. A complete
-// universe covers the whole enumeration; tooBig marks a key whose walk
-// passed the fact cap, and holds no entries.
+// universe covers the whole enumeration, and once built carries the
+// order of its nodes, or unordered when its build gave up; tooBig
+// marks a key whose walk passed the fact cap, and holds no entries.
 type universe struct {
-	entries  []*Entry
-	walked   int // enumerated candidates the entries cover
-	facts    int // facts retained by the entries
-	complete bool
-	tooBig   bool
+	entries   []*Entry
+	walked    int // enumerated candidates the entries cover
+	facts     int // facts retained by the entries
+	nodes     int // the entries' queries and frontier members
+	complete  bool
+	tooBig    bool
+	order     *order
+	unordered bool
 }
+
+// settled reports whether u's order is built or given up.
+func (u *universe) settled() bool { return u.order != nil || u.unordered }
 
 // Cache holds compiled universes. Like the solver memo it is
 // context-carried, never process-global: each engine owns one and
@@ -129,8 +158,8 @@ func (c *Cache) put(k key, u *universe) {
 }
 
 // beats reports whether u covers more of its key than old: a too-big
-// marker is final, and at equal length a complete universe beats a
-// prefix.
+// marker is final, at equal length a complete universe beats a
+// prefix, and one whose order is settled one whose order is not.
 func (u *universe) beats(old *universe) bool {
 	switch {
 	case old.tooBig:
@@ -138,14 +167,32 @@ func (u *universe) beats(old *universe) bool {
 	case u.tooBig:
 		return true
 	}
-	return u.walked > old.walked || u.complete && !old.complete
+	return u.walked > old.walked || u.complete && !old.complete || u.settled() && !old.settled()
+}
+
+// ordered returns what c holds for k, first building the order of a
+// complete universe whose order is not settled. The build runs under
+// ctx, so a deadline or a cancellation inside it leaves the universe
+// complete without an order, for the next walk to build; a build that
+// gives up (see buildOrder) leaves it unordered for good. Concurrent
+// builds of one key each run, and the first to finish is kept.
+func (c *Cache) ordered(ctx context.Context, k key) *universe {
+	u, _ := c.get(k)
+	if u == nil || !u.complete || u.settled() {
+		return u
+	}
+	v := *u
+	v.order = buildOrder(ctx, u.entries)
+	v.unordered = v.order == nil
+	c.put(k, &v)
+	return &v
 }
 
 // ForEach calls yield with the candidates of the universe of k-ary
 // data examples over sch with at most maxAtoms facts and maxVars values
 // that pass fits, in enumeration order, until yield returns false.
-// fits is the caller's test that depends on the examples; it must be
-// invariant under equivalence, as fit is.
+// fits is the caller's test of a candidate's query that depends on the
+// examples; it must be invariant under equivalence, as fit is.
 //
 // Under a cache (see WithCache) each entry is the first candidate of
 // its isomorphism class of c-acyclic cores. ForEach replays what
@@ -154,23 +201,30 @@ func (u *universe) beats(old *universe) bool {
 // compiled. A walk keeps what it compiled also when yield,
 // cancellation or a deadline cuts it short, so a later walk resumes
 // where it stopped and only a whole walk marks the universe complete.
+// The walk that makes a key complete, or first finds it complete
+// without an order, builds the order of its nodes. A replay of a
+// complete universe binds known to that order, so the callbacks'
+// checks through known.Decide search only for what the job's earlier
+// answers do not settle; known may be nil.
 //
 // Without a cache, for a key marked too big, and for the rest of a
 // walk that passes the cap, ForEach walks live and retains nothing: it
-// applies fits to each candidate first and cores only the candidates
-// that pass, then yields every one whose core is c-acyclic, so a class
-// can be yielded more than once.
-func ForEach(ctx context.Context, sch *schema.Schema, k, maxAtoms, maxVars int, fits func(*cq.CQ) bool, yield func(*Entry) bool) {
+// applies fits to each candidate first (an Entry holding the raw
+// candidate's query alone) and cores only the candidates that pass,
+// then yields every one whose core is c-acyclic, so a class can be
+// yielded more than once.
+func ForEach(ctx context.Context, sch *schema.Schema, k, maxAtoms, maxVars int, known *Verdicts, fits, yield func(*Entry) bool) {
 	w := walk{c: cacheFrom(ctx), k: key{schema: sch.String(), arity: k, maxAtoms: maxAtoms, maxVars: maxVars}}
 	if w.c != nil {
-		u, _ := w.c.get(w.k)
+		u := w.c.ordered(ctx, w.k)
 		if u == nil {
 			u = &universe{}
 		}
 		if !u.tooBig {
+			known.bind(ctx, u.order)
 			for _, e := range u.entries {
 				solve.Check(ctx)
-				if fits(e.Query) && !yield(e) {
+				if fits(e) && !yield(e) {
 					return
 				}
 			}
@@ -180,7 +234,9 @@ func ForEach(ctx context.Context, sch *schema.Schema, k, maxAtoms, maxVars int, 
 			w.resume(u)
 		}
 	}
-	w.run(ctx, sch, k, maxAtoms, maxVars, fits, yield)
+	if w.run(ctx, sch, k, maxAtoms, maxVars, fits, yield) {
+		w.c.ordered(ctx, w.k)
+	}
 }
 
 // walk is one pass over a key's enumeration. While keep holds it
@@ -209,8 +265,8 @@ func (w *walk) resume(u *universe) {
 // run walks the enumeration past the candidates the resumed prefix
 // covers. A compiling walk saves its prefix however it ends, cut short
 // or by a panic (cancellation is one); one that reaches the end of the
-// enumeration saves it complete.
-func (w *walk) run(ctx context.Context, sch *schema.Schema, k, maxAtoms, maxVars int, fits func(*cq.CQ) bool, yield func(*Entry) bool) {
+// enumeration saves it complete, and reports that it did.
+func (w *walk) run(ctx context.Context, sch *schema.Schema, k, maxAtoms, maxVars int, fits, yield func(*Entry) bool) bool {
 	defer w.save()
 	skip, n, stopped := w.u.walked, 0, false
 	genex.EnumerateDataExamplesCtx(ctx, sch, k, maxAtoms, maxVars, func(ex instance.Pointed) bool {
@@ -224,6 +280,7 @@ func (w *walk) run(ctx context.Context, sch *schema.Schema, k, maxAtoms, maxVars
 		return true
 	})
 	w.u.complete = !stopped
+	return w.keep && w.u.complete
 }
 
 // save installs a compiling walk's prefix in the cache, clipped (see
@@ -240,10 +297,10 @@ func (w *walk) save() {
 // goes on. A compiling walk compiles the candidate and yields a new
 // entry that passes fits; a live walk checks fits first, as a search
 // over raw candidates does.
-func (w *walk) step(ctx context.Context, ex instance.Pointed, fits func(*cq.CQ) bool, yield func(*Entry) bool) bool {
+func (w *walk) step(ctx context.Context, ex instance.Pointed, fits, yield func(*Entry) bool) bool {
 	solve.Check(ctx)
 	if !w.keep {
-		if q, err := cq.FromExample(ex); err != nil || !fits(q) {
+		if q, err := cq.FromExample(ex); err != nil || !fits(&Entry{Query: q}) {
 			return true
 		}
 		e := entryFor(ctx, acyclicCore(ctx, ex))
@@ -254,6 +311,8 @@ func (w *walk) step(ctx context.Context, ex instance.Pointed, fits func(*cq.CQ) 
 	// needed, so a cancellation panic leaves it whole for save.
 	w.u.walked++
 	if e != nil {
+		e.node = w.u.nodes
+		w.u.nodes += 1 + len(e.Frontier)
 		w.u.entries = append(w.u.entries, e)
 		w.classes[e.iso] = append(w.classes[e.iso], e)
 		w.u.facts += e.Query.Example().Size()
@@ -265,7 +324,7 @@ func (w *walk) step(ctx context.Context, ex instance.Pointed, fits func(*cq.CQ) 
 			w.c.put(w.k, &universe{tooBig: true})
 		}
 	}
-	return e == nil || !fits(e.Query) || yield(e)
+	return e == nil || !fits(e) || yield(e)
 }
 
 // compile returns the entry of one candidate, or nil when its core is

@@ -368,7 +368,7 @@ func TestUniverseConcurrentFirstCompile(t *testing.T) {
 // renders the queries yielded.
 func collect(ctx context.Context, sch *schema.Schema, k, atoms, vars int, stop func(n int) bool) []string {
 	var out []string
-	universe.ForEach(ctx, sch, k, atoms, vars, func(*cq.CQ) bool { return true }, func(e *universe.Entry) bool {
+	universe.ForEach(ctx, sch, k, atoms, vars, nil, func(*universe.Entry) bool { return true }, func(e *universe.Entry) bool {
 		out = append(out, e.Query.String())
 		return stop == nil || !stop(len(out))
 	})
@@ -419,7 +419,7 @@ func TestUniverseCutShortWalkKeepsPrefix(t *testing.T) {
 	}
 	var live []string
 	seen := enum.NewIndex(nil)
-	universe.ForEach(context.Background(), sch, k, atoms, vars, func(*cq.CQ) bool { return true }, func(e *universe.Entry) bool {
+	universe.ForEach(context.Background(), sch, k, atoms, vars, nil, func(*universe.Entry) bool { return true }, func(e *universe.Entry) bool {
 		if !seen.SeenCore(context.Background(), e.Query.Example()) {
 			live = append(live, e.Query.String())
 		}
@@ -507,8 +507,8 @@ func TestUniverseLiveWalkChecksFitFirst(t *testing.T) {
 	} {
 		rec := obs.NewRecorder()
 		checked := 0
-		none := func(*cq.CQ) bool { checked++; return false }
-		universe.ForEach(obs.WithRecorder(ctx, rec), sch, k, atoms, vars, none, func(*universe.Entry) bool {
+		none := func(*universe.Entry) bool { checked++; return false }
+		universe.ForEach(obs.WithRecorder(ctx, rec), sch, k, atoms, vars, nil, none, func(*universe.Entry) bool {
 			t.Fatalf("%s: a rejected candidate was yielded", name)
 			return false
 		})
@@ -591,7 +591,9 @@ func TestUniverseOverCapMatchesOracle(t *testing.T) {
 // TestUniverseWarmJobChecksOneCandidatePerClass pins the saving: on a
 // warm engine a job over stream-1c's key (R/2, P/1, Q/1; arity 1; 3
 // atoms; 4 variables) checks the product's core and the 134 compiled
-// classes, not the 659 enumerated candidates.
+// classes, not the 659 enumerated candidates, and searches only for
+// the verdicts the universe's order does not settle: 20 hom searches,
+// where checking every class and frontier member searched 145 times.
 func TestUniverseWarmJobChecksOneCandidatePerClass(t *testing.T) {
 	eng := engine.New(engine.Options{})
 	defer eng.Close()
@@ -619,5 +621,8 @@ func TestUniverseWarmJobChecksOneCandidatePerClass(t *testing.T) {
 	}
 	if got := res.Trace.Counters["enum_candidates"]; got != 135 {
 		t.Errorf("warm job checked %d candidates, want 135 (the product's core and 134 classes)", got)
+	}
+	if got := res.Trace.Counters["hom_searches"]; got != 20 {
+		t.Errorf("warm job ran %d hom searches, want 20 (%d verdicts inferred)", got, res.Trace.Counters["hom_inferred"])
 	}
 }
