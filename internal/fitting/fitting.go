@@ -80,12 +80,12 @@ func Verify(q *cq.CQ, e Examples) bool {
 // are memoized through the caches carried by ctx (see hom.WithCache)
 // and stop promptly when ctx is canceled.
 func VerifyCtx(ctx context.Context, q *cq.CQ, e Examples) bool {
-	return verify(ctx, nil, 0, q, e)
+	return verify(ctx, nil, -1, q, e)
 }
 
 // verify is VerifyCtx with each check decided through known, q being
-// node in the order known is bound to. Example i of known is e.Pos[i]
-// for i < len(e.Pos), and e.Neg[i-len(e.Pos)] after.
+// node (see universe.Entry.Node). Example i of known is e.Pos[i] for
+// i < len(e.Pos), and e.Neg[i-len(e.Pos)] after.
 func verify(ctx context.Context, known *universe.Verdicts, node int, q *cq.CQ, e Examples) bool {
 	if !e.compatible(q) {
 		return false

@@ -58,19 +58,20 @@ func verifyWeaklyMostGeneral(ctx context.Context, core instance.Pointed, e Examp
 	if err != nil {
 		return false, err
 	}
-	return frontierIntoNegatives(ctx, nil, 0, members, e), nil
+	return frontierIntoNegatives(ctx, nil, &universe.Entry{Frontier: members}, e), nil
 }
 
 // frontierIntoNegatives is the example-dependent half of the Prop 3.11
-// test: given the frontier of a fitting q's c-acyclic core, q is weakly
-// most-general iff every member maps into some negative example. Each
-// check is decided through known (see verify), the members being the
-// nodes from first on.
-func frontierIntoNegatives(ctx context.Context, known *universe.Verdicts, first int, members []instance.Pointed, e Examples) bool {
-	for i, m := range members {
+// test: given the entry c of a fitting q's c-acyclic core, which holds
+// that core's frontier, q is weakly most-general iff every member of
+// the frontier maps into some negative example. Each check is decided
+// through known (see verify); the members of an entry of no universe,
+// as verifyWeaklyMostGeneral makes, are searched.
+func frontierIntoNegatives(ctx context.Context, known *universe.Verdicts, c *universe.Entry, e Examples) bool {
+	for i, m := range c.Frontier {
 		into := false
 		for j, n := range e.Neg {
-			if into = known.Decide(ctx, first+i, len(e.Pos)+j, m, n); into {
+			if into = known.Decide(ctx, c.MemberNode(i), len(e.Pos)+j, m, n); into {
 				break
 			}
 		}

@@ -124,12 +124,12 @@ func forEachWMG(ctx context.Context, e Examples, opts SearchOpts, yield func(*cq
 		}
 	}
 	known := universe.NewVerdicts(len(e.Pos) + len(e.Neg))
-	fits := func(c *universe.Entry) bool {
+	fits := func(q *cq.CQ, node int) bool {
 		rec.Add(obs.CtrEnumCandidates, 1)
-		return verify(ctx, known, c.Node(), c.Query, e)
+		return verify(ctx, known, node, q, e)
 	}
 	universe.ForEach(ctx, e.Schema, e.Arity, opts.MaxAtoms, opts.MaxVars, known, fits, func(c *universe.Entry) bool {
-		return !frontierIntoNegatives(ctx, known, c.Node()+1, c.Frontier, e) || yield(c.Query)
+		return !frontierIntoNegatives(ctx, known, c, e) || yield(c.Query)
 	})
 	return firstErr
 }

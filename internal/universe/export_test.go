@@ -29,28 +29,32 @@ func Compiled(c *Cache, sch *schema.Schema, k, maxAtoms, maxVars int) (entries, 
 }
 
 // Nodes returns the instances of the nodes of the universe c holds for
-// a key, indexed by node, and whether that universe has its order.
-func Nodes(c *Cache, sch *schema.Schema, k, maxAtoms, maxVars int) (nodes []instance.Pointed, ordered bool) {
+// a key, indexed by node, and how many of them its order covers: all
+// of them once it is built, none once its build gave up.
+func Nodes(c *Cache, sch *schema.Schema, k, maxAtoms, maxVars int) (nodes []instance.Pointed, inserted int) {
 	u, _ := c.get(keyOf(sch, k, maxAtoms, maxVars))
 	if u == nil {
-		return nil, false
+		return nil, 0
 	}
 	for _, e := range u.entries {
-		if e.node != len(nodes) {
+		if e.Node() != len(nodes) || e.MemberNode(0) != len(nodes)+1 {
 			panic("entry node ids are not consecutive")
 		}
 		nodes = append(nodes, e.Query.Example())
 		nodes = append(nodes, e.Frontier...)
 	}
-	return nodes, u.order != nil
+	if u.order != nil {
+		inserted = u.order.n
+	}
+	return nodes, inserted
 }
 
 // Relation returns the order of the universe c holds for a key as its
 // two matrices: up[i][j] when node i maps to node j, down[i][j] when
-// node j maps to node i. Both are nil when there is no order.
+// node j maps to node i. Both are nil until the order is built.
 func Relation(c *Cache, sch *schema.Schema, k, maxAtoms, maxVars int) (up, down [][]bool) {
 	u, _ := c.get(keyOf(sch, k, maxAtoms, maxVars))
-	if u == nil || u.order == nil {
+	if u == nil || u.order == nil || !u.settled() {
 		return nil, nil
 	}
 	o := u.order
@@ -64,10 +68,12 @@ func Relation(c *Cache, sch *schema.Schema, k, maxAtoms, maxVars int) (up, down 
 }
 
 // Rebuild builds the order of the complete universe c holds for a key
-// again under ctx, and discards it.
+// again, from no node, under ctx, and discards it.
 func Rebuild(ctx context.Context, c *Cache, sch *schema.Schema, k, maxAtoms, maxVars int) {
 	u, _ := c.get(keyOf(sch, k, maxAtoms, maxVars))
-	buildOrder(ctx, u.entries)
+	v := *u
+	v.order, v.unordered = nil, false
+	ordered(ctx, &v)
 }
 
 // MaxOrderNodes is the node cap of the order's build.
@@ -76,11 +82,11 @@ const MaxOrderNodes = maxOrderNodes
 // OrdersCopies reports whether the order of a universe of n entries,
 // each q with no frontier, gets built under ctx.
 func OrdersCopies(ctx context.Context, q *cq.CQ, n int) bool {
-	entries := make([]*Entry, n)
-	for i := range entries {
-		entries[i] = &Entry{Query: q}
+	u := &universe{entries: make([]*Entry, n), nodes: n, complete: true}
+	for i := range u.entries {
+		u.entries[i] = &Entry{Query: q}
 	}
-	return buildOrder(ctx, entries) != nil
+	return ordered(ctx, u).order != nil
 }
 
 // Bound returns verdicts about the given number of examples, bound to
@@ -101,7 +107,7 @@ func MaxRetained(ctx context.Context, c *Cache, sch *schema.Schema, k, maxAtoms,
 	if c != nil {
 		w.resume(&universe{})
 	}
-	all := func(*Entry) bool { return true }
+	all := func(*cq.CQ, int) bool { return true }
 	w.run(ctx, sch, k, maxAtoms, maxVars, all, func(*Entry) bool {
 		held := map[*Entry]bool{}
 		for _, e := range w.u.entries {

@@ -2,7 +2,6 @@ package universe_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -17,7 +16,6 @@ import (
 	"extremalcq/internal/instance"
 	"extremalcq/internal/obs"
 	"extremalcq/internal/schema"
-	"extremalcq/internal/solve"
 	"extremalcq/internal/universe"
 )
 
@@ -49,9 +47,9 @@ func compiledOrder(t *testing.T, ok orderKey) (*universe.Cache, int) {
 	t.Helper()
 	c := universe.NewCache()
 	collect(universe.WithCache(t.Context(), c), ok.sch, ok.k, ok.opts.MaxAtoms, ok.opts.MaxVars, nil)
-	nodes, ordered := universe.Nodes(c, ok.sch, ok.k, ok.opts.MaxAtoms, ok.opts.MaxVars)
-	if len(nodes) != ok.nodes || !ordered {
-		t.Fatalf("%s: a whole walk left %d nodes, ordered %v; want %d, ordered", ok.name, len(nodes), ordered, ok.nodes)
+	nodes, inserted := universe.Nodes(c, ok.sch, ok.k, ok.opts.MaxAtoms, ok.opts.MaxVars)
+	if len(nodes) != ok.nodes || inserted != ok.nodes {
+		t.Fatalf("%s: a whole walk left %d nodes, %d of them ordered; want %d, all ordered", ok.name, len(nodes), inserted, ok.nodes)
 	}
 	return c, len(nodes)
 }
@@ -199,16 +197,37 @@ func (c cutCtx) Err() error {
 	return c.Context.Err()
 }
 
-// TestOrderBuildCutShortThenComplete cuts a job inside the build of its
-// universe's order, 2,000 searches after its walk made the key
-// complete. The universe must stay complete without an order; the
-// next jobs of the key must answer as the oracle does, byte for byte,
-// the first of them building the order, and the later ones must settle
-// most of their checks through it.
-func TestOrderBuildCutShortThenComplete(t *testing.T) {
+// TestOrderBuildCutShortResumes cancels the job that compiles
+// stream-1c's key 4,000 searches into the order's build, which follows
+// its walk. The cut must stop the build, not the job, whose answers
+// are complete by then. The universe must keep the nodes the build
+// inserted, and the next job's build must go on from them: that job
+// must run fewer searches than a whole build by most of the cut
+// build's. Every job must answer as the oracle does, byte for byte,
+// and the eight after the resumed one must settle most of their
+// checks through the order.
+func TestOrderBuildCutShortResumes(t *testing.T) {
 	sch, k, opts := schRPQ, 1, fitting.SearchOpts{MaxAtoms: 3, MaxVars: 4}
 	c, memo := universe.NewCache(), engine.NewMemo(0)
 	base := universe.WithCache(hom.WithCache(instance.WithProductCache(context.Background(), memo), memo), c)
+	rng := rand.New(rand.NewSource(43))
+	job := func(ctx context.Context) {
+		e := streamShaped(rng)
+		var got []*cq.CQ
+		err := fitting.ForEachWeaklyMostGeneralCtx(ctx, e, opts, func(q *cq.CQ) bool {
+			got = append(got, q)
+			return true
+		})
+		want, wantErr := oracleAll(e, opts)
+		if fmt.Sprint(render(got)) != fmt.Sprint(render(want)) || errText(err) != errText(wantErr) {
+			t.Errorf("pos=%v neg=%v: %v (%v), oracle %v (%v)", e.Pos, e.Neg, render(got), err, render(want), wantErr)
+		}
+	}
+	inserted := func() (int, int) {
+		nodes, inserted := universe.Nodes(c, sch, k, opts.MaxAtoms, opts.MaxVars)
+		return inserted, len(nodes)
+	}
+
 	rec := obs.NewRecorder()
 	at := int64(-1)
 	cut := func() bool {
@@ -217,53 +236,103 @@ func TestOrderBuildCutShortThenComplete(t *testing.T) {
 				at = rec.Count(obs.CtrHomSearches)
 			}
 		}
-		return at >= 0 && rec.Count(obs.CtrHomSearches) > at+2000
+		return at >= 0 && rec.Count(obs.CtrHomSearches) > at+4000
 	}
-	rng := rand.New(rand.NewSource(43))
-	err := func() (err error) {
-		defer solve.Catch(&err)
-		ctx := cutCtx{obs.WithRecorder(base, rec), cut}
-		return fitting.ForEachWeaklyMostGeneralCtx(ctx, streamShaped(rng), opts, func(*cq.CQ) bool { return true })
-	}()
-	_, ordered := universe.Nodes(c, sch, k, opts.MaxAtoms, opts.MaxVars)
-	if _, _, complete, _ := universe.Compiled(c, sch, k, opts.MaxAtoms, opts.MaxVars); !errors.Is(err, context.Canceled) || !complete || ordered {
-		t.Fatalf("job cut inside the build: err %v; universe complete %v, ordered %v; want canceled, complete, unordered", err, complete, ordered)
+	job(cutCtx{obs.WithRecorder(base, rec), cut})
+	cutAt, n := inserted()
+	if _, _, complete, _ := universe.Compiled(c, sch, k, opts.MaxAtoms, opts.MaxVars); !complete || n != 385 || cutAt == 0 || cutAt >= n {
+		t.Fatalf("the job cut inside the build left the universe complete %v with %d of %d nodes ordered; want complete, some of 385", complete, cutAt, n)
 	}
+	rec = obs.NewRecorder()
+	universe.Rebuild(obs.WithRecorder(t.Context(), rec), c, sch, k, opts.MaxAtoms, opts.MaxVars)
+	whole := rec.Count(obs.CtrHomSearches)
 
 	var searches, inferred int64
 	for i := range 9 {
-		e := streamShaped(rng)
 		rec := obs.NewRecorder()
-		var got []*cq.CQ
-		err := fitting.ForEachWeaklyMostGeneralCtx(obs.WithRecorder(base, rec), e, opts, func(q *cq.CQ) bool {
-			got = append(got, q)
-			return true
-		})
-		want, wantErr := oracleAll(e, opts)
-		if fmt.Sprint(render(got)) != fmt.Sprint(render(want)) || errText(err) != errText(wantErr) {
-			t.Errorf("pos=%v neg=%v: %v (%v), oracle %v (%v)", e.Pos, e.Neg, render(got), err, render(want), wantErr)
+		job(obs.WithRecorder(base, rec))
+		if in, n := inserted(); in != n {
+			t.Fatalf("job %d after the cut left %d of %d nodes ordered", i, in, n)
 		}
-		if _, ordered := universe.Nodes(c, sch, k, opts.MaxAtoms, opts.MaxVars); !ordered {
-			t.Fatalf("job %d after the cut left the universe without an order", i)
+		if i == 0 {
+			// The nodes the cut build inserted ran all of its 4,000
+			// searches but the last node's, 2·384 at most; the job's
+			// own checks run a few hundred.
+			if resumed := rec.Count(obs.CtrHomSearches); resumed > whole-2000 {
+				t.Errorf("the job after the cut ran %d hom searches, a whole build %d; want its build to go on from the %d nodes inserted", resumed, whole, cutAt)
+			}
+			continue
 		}
-		if i > 0 {
-			searches += rec.Count(obs.CtrHomSearches)
-			inferred += rec.Count(obs.CtrHomInferred)
-		}
+		searches += rec.Count(obs.CtrHomSearches)
+		inferred += rec.Count(obs.CtrHomInferred)
 	}
 	// Deciding every check by search inferred nothing.
 	if inferred < 4*searches {
 		t.Errorf("jobs after the build ran %d hom searches and inferred %d verdicts; want at least four inferred per search", searches, inferred)
 	}
-	t.Logf("jobs after the build: %.1f hom searches and %.1f inferred verdicts each", float64(searches)/8, float64(inferred)/8)
+	t.Logf("a whole build: %d searches; cut at %d of %d nodes; jobs after the build: %.1f hom searches and %.1f inferred verdicts each", whole, cutAt, n, float64(searches)/8, float64(inferred)/8)
+}
+
+// TestOrderBuildLeavesJobsTheirTime runs engine jobs on stream-1c's key,
+// weakly most-general and basis in turn, under a timeout half as long
+// as the key's whole order build, several times as long as a job's own
+// walk. Jobs cut inside the compile fail, as they would without an
+// order, and the first job that succeeds is the one whose walk
+// completes it. A build runs after its job's walk and takes half of
+// what is left of its time, leaving a basis job the rest for checking
+// its candidates, so from that job on every job must succeed, each
+// build going on from where the one before stopped, until a job finds
+// the order built and settles checks through it. The first build gets
+// at most a quarter of a whole build's time, so it must be cut short.
+func TestOrderBuildLeavesJobsTheirTime(t *testing.T) {
+	sch, k, opts := schRPQ, 1, fitting.SearchOpts{MaxAtoms: 3, MaxVars: 4}
+	c := universe.NewCache()
+	collect(universe.WithCache(t.Context(), c), sch, k, opts.MaxAtoms, opts.MaxVars, nil)
+	build := time.Duration(1<<63 - 1)
+	for range 3 {
+		start := time.Now()
+		universe.Rebuild(t.Context(), c, sch, k, opts.MaxAtoms, opts.MaxVars)
+		build = min(build, time.Since(start))
+	}
+	timeout := build / 2
+
+	eng := engine.New(engine.Options{})
+	defer eng.Close()
+	rng := rand.New(rand.NewSource(53))
+	succeeded := 0
+	for n := 1; n <= 200; n++ {
+		task := engine.TaskWeaklyMostGeneral
+		if n%2 == 0 {
+			task = engine.TaskBasis
+		}
+		j := engine.Job{Kind: engine.KindCQ, Task: task, Examples: streamShaped(rng), Opts: opts, Trace: true, Timeout: timeout}
+		res := eng.DoStream(t.Context(), j, nil)
+		switch {
+		case res.Err == nil:
+			succeeded++
+		case succeeded > 0:
+			t.Fatalf("job %d under a %v timeout (a whole build %v) failed after %d succeeded: %v", n, timeout, build, succeeded, res.Err)
+		default:
+			continue
+		}
+		if res.Trace.Counters["hom_inferred"] > 0 {
+			if succeeded < 3 {
+				t.Fatalf("job %d found the order built after %d jobs succeeded; want the first build cut short, and none before it failing", n, succeeded-1)
+			}
+			t.Logf("under a %v timeout (a whole build %v), job %d found the order built, %d jobs after the first success", timeout, build, n, succeeded-1)
+			return
+		}
+	}
+	t.Fatalf("200 jobs under a %v timeout (a whole build %v) left the key without an order", timeout, build)
 }
 
 // TestOrderGivesUp pins the build's two bounds. A universe of mostly
 // incomparable nodes (one P_i(x) per unary relation, with its empty
-// frontier member) would need ~3n/4 searches per node: its build gives
-// up within its budget, the universe stays unordered for good, so a
-// later walk searches nothing, and jobs answer as the oracle does. And
-// past maxOrderNodes nodes the build gives up before any search.
+// frontier member) would need ~3n/4 searches per node: the build after
+// the whole walk gives up within its budget, the universe stays
+// unordered for good, so a later walk searches nothing, and jobs answer
+// as the oracle does. And past maxOrderNodes nodes the
+// build gives up before any search.
 func TestOrderGivesUp(t *testing.T) {
 	var rels []schema.Relation
 	for i := range 100 {
@@ -274,9 +343,9 @@ func TestOrderGivesUp(t *testing.T) {
 	base := universe.WithCache(context.Background(), c)
 	rec := obs.NewRecorder()
 	collect(obs.WithRecorder(base, rec), sch, 1, 1, 1, nil)
-	nodes, ordered := universe.Nodes(c, sch, 1, 1, 1)
-	if len(nodes) != 200 || ordered {
-		t.Fatalf("a whole walk left %d nodes, ordered %v; want 200, unordered", len(nodes), ordered)
+	nodes, inserted := universe.Nodes(c, sch, 1, 1, 1)
+	if len(nodes) != 200 || inserted != 0 {
+		t.Fatalf("a whole walk left %d nodes, %d of them ordered; want 200, unordered", len(nodes), inserted)
 	}
 	// The budget is 128 searches per node, checked once per node.
 	if searches := rec.Count(obs.CtrHomSearches); searches > 128*200+2*200+1000 {

@@ -29,15 +29,18 @@
 // neither does any node it maps to. So a job asks its questions
 // through Verdicts, which search only for what the job's earlier
 // answers about the same example do not settle. The order is built
-// once per universe, by the walk that makes the universe complete or
-// first finds it complete without one; a build that would cost far
-// more than the compile gives up, and the universe stays without one.
+// after a walk that makes or finds the universe complete without one,
+// in half of what is left of that job's time, so the build never
+// fails the job; a build cut short keeps the nodes it inserted for the
+// next walk to go on from, and one that would cost far more than the
+// compile gives up, leaving the universe without an order.
 package universe
 
 import (
 	"context"
 	"slices"
 	"sync"
+	"time"
 
 	"extremalcq/internal/cq"
 	"extremalcq/internal/frontier"
@@ -63,7 +66,8 @@ import (
 const MaxFacts = 8192
 
 // MaxUniverses caps the universes one cache holds, so a cache retains
-// at most ~72 MB; past it an arbitrary universe is evicted.
+// at most ~104 MB with their orders; past it an arbitrary universe is
+// evicted.
 const MaxUniverses = 8
 
 // Entry is one candidate whose core is c-acyclic: that core, with its
@@ -78,14 +82,22 @@ type Entry struct {
 	Frontier []instance.Pointed
 
 	iso  string // Query's IsoFingerprint, on compiled entries
-	node int    // Query's node in its universe's order, on compiled entries
+	node int    // 1 + Query's node in its universe's order, on compiled entries
 }
 
 // Node is the node of the entry's query in the order of its universe
-// (see Verdicts); its frontier members are the nodes that follow, in
-// order. Entries of a live walk have no node, and are never decided
-// through an order.
-func (e *Entry) Node() int { return e.node }
+// (see Verdicts), or -1 for an entry of no universe, such as one of a
+// live walk, which is never decided through an order.
+func (e *Entry) Node() int { return e.node - 1 }
+
+// MemberNode is the node of the entry's frontier member i, or -1 as for
+// Node.
+func (e *Entry) MemberNode(i int) int {
+	if e.node == 0 {
+		return -1
+	}
+	return e.node + i
+}
 
 // key identifies a universe: the enumeration's schema, arity and bounds.
 type key struct {
@@ -96,9 +108,10 @@ type key struct {
 
 // universe is what the walks of one key have compiled: the entries of
 // the first walked candidates of the enumeration, in order. A complete
-// universe covers the whole enumeration, and once built carries the
-// order of its nodes, or unordered when its build gave up; tooBig
-// marks a key whose walk passed the fact cap, and holds no entries.
+// universe covers the whole enumeration, and carries the order of its
+// nodes as far as its builds got, or unordered when a build gave up;
+// tooBig marks a key whose walk passed the fact cap, and holds no
+// entries.
 type universe struct {
 	entries   []*Entry
 	walked    int // enumerated candidates the entries cover
@@ -110,8 +123,20 @@ type universe struct {
 	unordered bool
 }
 
+// built counts the nodes u's order settles: those its builds have
+// inserted, or all of them once a build gave up.
+func (u *universe) built() int {
+	switch {
+	case u.unordered:
+		return u.nodes
+	case u.order == nil:
+		return 0
+	}
+	return u.order.n
+}
+
 // settled reports whether u's order is built or given up.
-func (u *universe) settled() bool { return u.order != nil || u.unordered }
+func (u *universe) settled() bool { return u.built() == u.nodes }
 
 // Cache holds compiled universes. Like the solver memo it is
 // context-carried, never process-global: each engine owns one and
@@ -159,7 +184,8 @@ func (c *Cache) put(k key, u *universe) {
 
 // beats reports whether u covers more of its key than old: a too-big
 // marker is final, at equal length a complete universe beats a
-// prefix, and one whose order is settled one whose order is not.
+// prefix, and of two complete ones the one whose order is further
+// built wins.
 func (u *universe) beats(old *universe) bool {
 	switch {
 	case old.tooBig:
@@ -167,32 +193,56 @@ func (u *universe) beats(old *universe) bool {
 	case u.tooBig:
 		return true
 	}
-	return u.walked > old.walked || u.complete && !old.complete || u.settled() && !old.settled()
+	return u.walked > old.walked || u.complete && !old.complete || u.built() > old.built()
 }
 
-// ordered returns what c holds for k, first building the order of a
-// complete universe whose order is not settled. The build runs under
-// ctx, so a deadline or a cancellation inside it leaves the universe
-// complete without an order, for the next walk to build; a build that
-// gives up (see buildOrder) leaves it unordered for good. Concurrent
-// builds of one key each run, and the first to finish is kept.
-func (c *Cache) ordered(ctx context.Context, k key) *universe {
+// buildOrder builds what is left of the order of the complete universe
+// c holds for k, if its order is not settled. It runs after a walk,
+// on the walk's job, for later jobs: the build gets half of what is
+// left before ctx's deadline, and the job keeps the other half for
+// what it does after its walk. A cut stops the build, not the job,
+// and keeps the nodes it inserted for the next walk's build to go on
+// from; a build that gives up (see ordered) leaves the universe
+// unordered for good. Concurrent builds of one key each run, and the
+// one furthest along is kept.
+func (c *Cache) buildOrder(ctx context.Context, k key) {
 	u, _ := c.get(k)
 	if u == nil || !u.complete || u.settled() {
-		return u
+		return
 	}
-	v := *u
-	v.order = buildOrder(ctx, u.entries)
-	v.unordered = v.order == nil
-	c.put(k, &v)
-	return &v
+	if d, ok := ctx.Deadline(); ok {
+		ctx = halfLeft{ctx, time.Now().Add(time.Until(d) / 2)}
+	}
+	c.put(k, ordered(ctx, u))
+}
+
+// halfLeft is a job's context whose deadline is moved to stop, half of
+// what was left of it. Err reads the clock rather than waiting for a
+// timer, which can fire a millisecond or more late, eating into the
+// half the job keeps; the build polls Err before each search.
+type halfLeft struct {
+	context.Context
+	stop time.Time
+}
+
+func (c halfLeft) Deadline() (time.Time, bool) { return c.stop, true }
+
+func (c halfLeft) Err() error {
+	if err := c.Context.Err(); err != nil {
+		return err
+	}
+	if time.Now().After(c.stop) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // ForEach calls yield with the candidates of the universe of k-ary
 // data examples over sch with at most maxAtoms facts and maxVars values
 // that pass fits, in enumeration order, until yield returns false.
 // fits is the caller's test of a candidate's query that depends on the
-// examples; it must be invariant under equivalence, as fit is.
+// examples, given with the query's node (see Entry.Node); it must be
+// invariant under equivalence, as fit is.
 //
 // Under a cache (see WithCache) each entry is the first candidate of
 // its isomorphism class of c-acyclic cores. ForEach replays what
@@ -201,42 +251,50 @@ func (c *Cache) ordered(ctx context.Context, k key) *universe {
 // compiled. A walk keeps what it compiled also when yield,
 // cancellation or a deadline cuts it short, so a later walk resumes
 // where it stopped and only a whole walk marks the universe complete.
-// The walk that makes a key complete, or first finds it complete
-// without an order, builds the order of its nodes. A replay of a
-// complete universe binds known to that order, so the callbacks'
+// A walk that ends on a complete universe whose order is not built
+// then builds what is left of it (see Cache.buildOrder). A replay of a
+// universe whose order is built binds known to it, so the callbacks'
 // checks through known.Decide search only for what the job's earlier
 // answers do not settle; known may be nil.
 //
 // Without a cache, for a key marked too big, and for the rest of a
 // walk that passes the cap, ForEach walks live and retains nothing: it
-// applies fits to each candidate first (an Entry holding the raw
-// candidate's query alone) and cores only the candidates that pass,
-// then yields every one whose core is c-acyclic, so a class can be
-// yielded more than once.
-func ForEach(ctx context.Context, sch *schema.Schema, k, maxAtoms, maxVars int, known *Verdicts, fits, yield func(*Entry) bool) {
+// applies fits to each candidate first, with node -1, and cores only
+// the candidates that pass, then yields every one whose core is
+// c-acyclic, so a class can be yielded more than once.
+func ForEach(ctx context.Context, sch *schema.Schema, k, maxAtoms, maxVars int, known *Verdicts, fits func(q *cq.CQ, node int) bool, yield func(*Entry) bool) {
 	w := walk{c: cacheFrom(ctx), k: key{schema: sch.String(), arity: k, maxAtoms: maxAtoms, maxVars: maxVars}}
 	if w.c != nil {
-		u := w.c.ordered(ctx, w.k)
+		u, _ := w.c.get(w.k)
 		if u == nil {
 			u = &universe{}
 		}
 		if !u.tooBig {
-			known.bind(ctx, u.order)
-			for _, e := range u.entries {
-				solve.Check(ctx)
-				if fits(e) && !yield(e) {
-					return
-				}
+			if u.settled() {
+				known.bind(ctx, u.order)
 			}
-			if u.complete {
-				return
+			if replay(ctx, u.entries, fits, yield) && !u.complete {
+				w.resume(u)
+				w.run(ctx, sch, k, maxAtoms, maxVars, fits, yield)
 			}
-			w.resume(u)
+			w.c.buildOrder(ctx, w.k)
+			return
 		}
 	}
-	if w.run(ctx, sch, k, maxAtoms, maxVars, fits, yield) {
-		w.c.ordered(ctx, w.k)
+	w.run(ctx, sch, k, maxAtoms, maxVars, fits, yield)
+}
+
+// replay applies fits to each of entries in turn and yields those that
+// pass, until yield returns false; it reports whether yield let it
+// replay them all.
+func replay(ctx context.Context, entries []*Entry, fits func(*cq.CQ, int) bool, yield func(*Entry) bool) bool {
+	for _, e := range entries {
+		solve.Check(ctx)
+		if fits(e.Query, e.Node()) && !yield(e) {
+			return false
+		}
 	}
+	return true
 }
 
 // walk is one pass over a key's enumeration. While keep holds it
@@ -265,8 +323,8 @@ func (w *walk) resume(u *universe) {
 // run walks the enumeration past the candidates the resumed prefix
 // covers. A compiling walk saves its prefix however it ends, cut short
 // or by a panic (cancellation is one); one that reaches the end of the
-// enumeration saves it complete, and reports that it did.
-func (w *walk) run(ctx context.Context, sch *schema.Schema, k, maxAtoms, maxVars int, fits, yield func(*Entry) bool) bool {
+// enumeration saves it complete.
+func (w *walk) run(ctx context.Context, sch *schema.Schema, k, maxAtoms, maxVars int, fits func(*cq.CQ, int) bool, yield func(*Entry) bool) {
 	defer w.save()
 	skip, n, stopped := w.u.walked, 0, false
 	genex.EnumerateDataExamplesCtx(ctx, sch, k, maxAtoms, maxVars, func(ex instance.Pointed) bool {
@@ -280,7 +338,6 @@ func (w *walk) run(ctx context.Context, sch *schema.Schema, k, maxAtoms, maxVars
 		return true
 	})
 	w.u.complete = !stopped
-	return w.keep && w.u.complete
 }
 
 // save installs a compiling walk's prefix in the cache, clipped (see
@@ -297,10 +354,10 @@ func (w *walk) save() {
 // goes on. A compiling walk compiles the candidate and yields a new
 // entry that passes fits; a live walk checks fits first, as a search
 // over raw candidates does.
-func (w *walk) step(ctx context.Context, ex instance.Pointed, fits, yield func(*Entry) bool) bool {
+func (w *walk) step(ctx context.Context, ex instance.Pointed, fits func(*cq.CQ, int) bool, yield func(*Entry) bool) bool {
 	solve.Check(ctx)
 	if !w.keep {
-		if q, err := cq.FromExample(ex); err != nil || !fits(&Entry{Query: q}) {
+		if q, err := cq.FromExample(ex); err != nil || !fits(q, -1) {
 			return true
 		}
 		e := entryFor(ctx, acyclicCore(ctx, ex))
@@ -311,7 +368,7 @@ func (w *walk) step(ctx context.Context, ex instance.Pointed, fits, yield func(*
 	// needed, so a cancellation panic leaves it whole for save.
 	w.u.walked++
 	if e != nil {
-		e.node = w.u.nodes
+		e.node = 1 + w.u.nodes
 		w.u.nodes += 1 + len(e.Frontier)
 		w.u.entries = append(w.u.entries, e)
 		w.classes[e.iso] = append(w.classes[e.iso], e)
@@ -324,7 +381,7 @@ func (w *walk) step(ctx context.Context, ex instance.Pointed, fits, yield func(*
 			w.c.put(w.k, &universe{tooBig: true})
 		}
 	}
-	return e == nil || !fits(e) || yield(e)
+	return e == nil || !fits(e.Query, e.Node()) || yield(e)
 }
 
 // compile returns the entry of one candidate, or nil when its core is

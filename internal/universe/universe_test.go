@@ -368,7 +368,7 @@ func TestUniverseConcurrentFirstCompile(t *testing.T) {
 // renders the queries yielded.
 func collect(ctx context.Context, sch *schema.Schema, k, atoms, vars int, stop func(n int) bool) []string {
 	var out []string
-	universe.ForEach(ctx, sch, k, atoms, vars, nil, func(*universe.Entry) bool { return true }, func(e *universe.Entry) bool {
+	universe.ForEach(ctx, sch, k, atoms, vars, nil, func(*cq.CQ, int) bool { return true }, func(e *universe.Entry) bool {
 		out = append(out, e.Query.String())
 		return stop == nil || !stop(len(out))
 	})
@@ -419,7 +419,7 @@ func TestUniverseCutShortWalkKeepsPrefix(t *testing.T) {
 	}
 	var live []string
 	seen := enum.NewIndex(nil)
-	universe.ForEach(context.Background(), sch, k, atoms, vars, nil, func(*universe.Entry) bool { return true }, func(e *universe.Entry) bool {
+	universe.ForEach(context.Background(), sch, k, atoms, vars, nil, func(*cq.CQ, int) bool { return true }, func(e *universe.Entry) bool {
 		if !seen.SeenCore(context.Background(), e.Query.Example()) {
 			live = append(live, e.Query.String())
 		}
@@ -507,7 +507,7 @@ func TestUniverseLiveWalkChecksFitFirst(t *testing.T) {
 	} {
 		rec := obs.NewRecorder()
 		checked := 0
-		none := func(*universe.Entry) bool { checked++; return false }
+		none := func(*cq.CQ, int) bool { checked++; return false }
 		universe.ForEach(obs.WithRecorder(ctx, rec), sch, k, atoms, vars, nil, none, func(*universe.Entry) bool {
 			t.Fatalf("%s: a rejected candidate was yielded", name)
 			return false
